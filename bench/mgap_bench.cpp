@@ -14,10 +14,16 @@
 // end-to-end and fingerprints its JSON output (FNV-1a) so CI catches both
 // wall-clock regressions and cross-build nondeterminism.
 //
+// The overload suite also times the CoAP server at 1k and 20k cached dedup
+// entries; their ratio stays near 1 unless serving a request goes back to
+// scanning the whole cache.
+//
 // CI compares the committed baselines against a fresh run and fails when the
 // 100k-event case regresses more than 2x (scaling-normalized, so a slower
-// runner does not false-positive) or the campaign fingerprint moves.
+// runner does not false-positive), the dedup ratio exceeds 2, or the campaign
+// fingerprint moves.
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -26,12 +32,18 @@
 #include <string>
 #include <vector>
 
+#include "app/coap_endpoint.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/writers.hpp"
 #include "mesh/world.hpp"
+#include "net/ip_stack.hpp"
+#include "net/ipv6.hpp"
+#include "net/sixlowpan.hpp"
+#include "net/udp.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "sim/simulator.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/topology.hpp"
 #include "topo/spec.hpp"
@@ -359,6 +371,95 @@ int run_scale(const std::string& out_dir, bool quick) {
   return rc;
 }
 
+/// A loopback link: frames the stack sends are counted and dropped, injected
+/// frames arrive as if from the given neighbour.
+class LoopNetif final : public net::Netif {
+ public:
+  bool send(NodeId /*next_hop*/, std::vector<std::uint8_t> /*frame*/) override {
+    ++sent_;
+    return true;
+  }
+  [[nodiscard]] std::size_t mtu() const override { return 1280; }
+  [[nodiscard]] bool neighbor_up(NodeId /*neighbor*/) const override { return true; }
+  void inject(NodeId from, std::vector<std::uint8_t> frame, sim::TimePoint at) {
+    deliver_rx(from, std::move(frame), at);
+  }
+  [[nodiscard]] std::uint64_t sent() const { return sent_; }
+
+ private:
+  std::uint64_t sent_{0};
+};
+
+/// Host ns per CON request at a CoapServer whose dedup cache holds `cached`
+/// live entries. Requests from 14 producers arrive evenly spaced so that the
+/// cache spans exactly one dedup lifetime: each timed request expires the
+/// oldest entry and inserts itself, keeping the occupancy at `cached`. Serving
+/// a request must not depend on the occupancy; an expiry sweep over the whole
+/// cache makes this grow linearly with it.
+double coap_dedup_ns_per_request(std::size_t cached) {
+  constexpr NodeId kServer = 1;
+  constexpr std::size_t kProducers = 14;
+  constexpr std::size_t kBatch = 1000;
+  constexpr int kBatches = 5;
+  sim::Simulator simu{1};
+  LoopNetif netif;
+  net::IpStack stack{simu, kServer, netif};
+  stack.routes().set_default(net::Ipv6Addr::link_local(2));
+  app::CoapServer server{stack};
+  server.on_get("gap", [](const app::CoapMessage&, const net::Ipv6Addr&) {
+    app::CoapMessage rsp;
+    rsp.code = app::kCodeContent;
+    return rsp;
+  });
+
+  // Request i: producer 2 + i % 14, message id i / 14 (distinct dedup keys),
+  // arriving at i * spacing + 1 ns, so request i finds request i - cached
+  // exactly one nanosecond past the lifetime.
+  const std::size_t total = cached + kBatches * kBatch;
+  const sim::Duration spacing = app::CoapServer::kDedupLifetime / static_cast<std::int64_t>(cached);
+  std::vector<std::vector<std::uint8_t>> frames;
+  frames.reserve(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    const auto src = static_cast<NodeId>(2 + i % kProducers);
+    app::CoapMessage req;
+    req.type = app::CoapType::kCon;
+    req.code = app::kCodeGet;
+    req.message_id = static_cast<std::uint16_t>(i / kProducers);
+    req.token = {static_cast<std::uint8_t>(i >> 24), static_cast<std::uint8_t>(i >> 16),
+                 static_cast<std::uint8_t>(i >> 8), static_cast<std::uint8_t>(i)};
+    req.add_uri_path("gap");
+    const net::Ipv6Addr from = net::Ipv6Addr::site(src);
+    const net::Ipv6Addr to = net::Ipv6Addr::site(kServer);
+    const auto udp = net::udp_encode(from, to, 49152, app::kCoapPort, app::coap_encode(req));
+    net::Ipv6Header h;
+    h.payload_len = static_cast<std::uint16_t>(udp.size());
+    h.src = from;
+    h.dst = to;
+    frames.push_back(net::sixlo_encode(net::ipv6_encode(h, udp),
+                                       net::CompressionMode::kUncompressed, src, kServer));
+  }
+  std::size_t next = 0;
+  const auto deliver = [&] {
+    const sim::TimePoint at = sim::TimePoint::origin() +
+                              spacing * static_cast<std::int64_t>(next) + sim::Duration::ns(1);
+    netif.inject(static_cast<NodeId>(2 + next % kProducers), std::move(frames[next]), at);
+    ++next;
+  };
+  while (next < cached) deliver();
+  std::vector<double> samples;
+  for (int b = 0; b < kBatches; ++b) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < kBatch; ++i) deliver();
+    samples.push_back(seconds_since(t0) * 1e9 / static_cast<double>(kBatch));
+  }
+  if (server.requests_rx() != total || netif.sent() != total) {
+    std::fprintf(stderr, "overload: dedup probe: requests went unanswered\n");
+    return 0.0;
+  }
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
 int run_overload(const std::string& out_dir, bool quick) {
   // Overload-survival smoke: the confirmable producer/consumer workload on
   // the 15-node tree at 50x the nominal offered load (20 ms producer
@@ -447,12 +548,25 @@ int run_overload(const std::string& out_dir, bool quick) {
     rc = 1;
   }
 
-  char tail[256];
+  // The server-side cost the overload workload leans on: ns per CON request
+  // at 20k cached dedup entries over ns at 1k. ~1 when expiry pops the old
+  // end of an arrival-ordered cache; ~17 for a sweep of the whole cache.
+  const double dedup_1k = coap_dedup_ns_per_request(1'000);
+  const double dedup_20k = coap_dedup_ns_per_request(20'000);
+  const double dedup_ratio = dedup_1k > 0 ? dedup_20k / dedup_1k : 0.0;
+  std::printf("overload: CoAP server %.0f ns/request @1k cached -> %.0f @20k (ratio %.2f)\n",
+              dedup_1k, dedup_20k, dedup_ratio);
+
+  char tail[512];
   std::snprintf(tail, sizeof tail,
                 "  ],\n  \"wall_seconds\": %.9f,\n"
                 "  \"pdr_off\": %.6f,\n  \"pdr_all\": %.6f,\n"
+                "  \"dedup_ns_per_request_1k\": %.1f,\n"
+                "  \"dedup_ns_per_request_20k\": %.1f,\n"
+                "  \"dedup_scaling_ratio_1k_to_20k\": %.2f,\n"
                 "  \"deterministic_fnv1a\": \"%016" PRIx64 "\"\n}\n",
-                wall_total, off_pdr, on_pdr, fnv1a(fingerprint_src));
+                wall_total, off_pdr, on_pdr, dedup_1k, dedup_20k, dedup_ratio,
+                fnv1a(fingerprint_src));
   json += tail;
   campaign::write_file(out_dir + "/BENCH_overload.json", json);
   return rc;

@@ -1,6 +1,7 @@
 #include "app/coap_endpoint.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "obs/recorder.hpp"
@@ -67,6 +68,21 @@ void CoapServer::on_get(std::string path, Handler handler) {
   resources_[std::move(path)] = std::move(handler);
 }
 
+CoapServer::CachedWire::CachedWire(std::span<const std::uint8_t> wire)
+    : size_{static_cast<std::uint32_t>(wire.size())} {
+  std::uint8_t* dst = inline_.data();
+  if (wire.size() > kInlineBytes) {
+    heap_ = std::make_unique<std::uint8_t[]>(wire.size());
+    dst = heap_.get();
+  }
+  std::copy(wire.begin(), wire.end(), dst);
+}
+
+std::vector<std::uint8_t> CoapServer::CachedWire::to_vector() const {
+  const std::uint8_t* src = heap_ ? heap_.get() : inline_.data();
+  return {src, src + size_};
+}
+
 void CoapServer::on_datagram(const net::Ipv6Addr& src, std::uint16_t src_port,
                              std::uint16_t /*dst_port*/, std::vector<std::uint8_t> payload,
                              sim::TimePoint at) {
@@ -77,15 +93,18 @@ void CoapServer::on_datagram(const net::Ipv6Addr& src, std::uint16_t src_port,
   // instead of re-executing the handler (RFC 7252 section 4.2).
   const auto key = std::make_pair(src, msg->message_id);
   if (msg->type == CoapType::kCon) {
-    // Expire stale cache entries (EXCHANGE_LIFETIME ~ 247 s; 60 s suffices
-    // for the workloads here and bounds memory).
-    std::erase_if(dedup_, [at](const auto& kv) {
-      return at - kv.second.at > sim::Duration::sec(60);
-    });
+    // Entries sit in dedup_order_ oldest first, so the expired ones are
+    // exactly a prefix of it.
+    while (!dedup_order_.empty() && at - dedup_order_.front()->second.at > kDedupLifetime) {
+      dedup_.erase(dedup_order_.front());
+      dedup_order_.pop_front();
+    }
     auto cached = dedup_.find(key);
     if (cached != dedup_.end()) {
       ++duplicates_rx_;
-      if (stack_.udp_send(src, port_, src_port, cached->second.wire)) ++responses_tx_;
+      if (stack_.udp_send(src, port_, src_port, cached->second.wire.to_vector())) {
+        ++responses_tx_;
+      }
       return;
     }
   }
@@ -103,9 +122,13 @@ void CoapServer::on_datagram(const net::Ipv6Addr& src, std::uint16_t src_port,
   rsp.token = msg->token;
   rsp.message_id = msg->message_id;
 
-  const auto wire = coap_encode(rsp);
-  if (msg->type == CoapType::kCon) dedup_[key] = CachedResponse{wire, at};
-  if (stack_.udp_send(src, port_, src_port, wire)) ++responses_tx_;
+  auto wire = coap_encode(rsp);
+  if (msg->type == CoapType::kCon) {
+    // Requests arrive in sim-time order, which keeps dedup_order_ sorted.
+    assert(dedup_order_.empty() || dedup_order_.back()->second.at <= at);
+    dedup_order_.push_back(dedup_.emplace(key, CachedResponse{at, CachedWire{wire}}).first);
+  }
+  if (stack_.udp_send(src, port_, src_port, std::move(wire))) ++responses_tx_;
 }
 
 CoapClient::CoapClient(sim::Simulator& sim, net::IpStack& stack, std::uint16_t local_port)
@@ -358,16 +381,16 @@ void CoapClient::on_datagram(const net::Ipv6Addr& /*src*/, std::uint16_t /*src_p
 void CoapClient::expire_pending(sim::Duration age) {
   const sim::TimePoint now = sim_.now();
   std::vector<net::Ipv6Addr> released;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (now - it->second.sent > age) {
-      if (it->second.timer.valid()) sim_.cancel(it->second.timer);
-      if (it->second.confirmable && it->second.dispatched) {
-        released.push_back(it->second.dst);
-      }
-      it = pending_.erase(it);
-    } else {
-      ++it;
+  // Tokens are issued in `sent` order (next_token_ only grows and every
+  // entry is stamped with the time it was issued), so iterating pending_ by
+  // token visits the oldest requests first: the first one still young
+  // enough ends the scan.
+  for (auto it = pending_.begin(); it != pending_.end() && now - it->second.sent > age;) {
+    if (it->second.timer.valid()) sim_.cancel(it->second.timer);
+    if (it->second.confirmable && it->second.dispatched) {
+      released.push_back(it->second.dst);
     }
+    it = pending_.erase(it);
   }
   // Queued-but-undispatched entries vanish silently: release_slot skips
   // tokens that are no longer pending.

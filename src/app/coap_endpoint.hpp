@@ -4,10 +4,13 @@
 // reports round-trip times — the metric pipeline of section 5 (RTT is
 // "request handed to the stack" until "response handed back", Figure 7b).
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,7 +42,35 @@ class CoapServer {
   /// Duplicate CON requests absorbed by the message-id cache (replayed).
   [[nodiscard]] std::uint64_t duplicates_rx() const { return duplicates_rx_; }
 
+  /// How long a CON response stays replayable. A deliberate model choice,
+  /// not RFC 7252's EXCHANGE_LIFETIME (~247 s): 60 s covers every
+  /// retransmission window of the workloads here and bounds memory. Expiry is
+  /// strict — an entry exactly this old is still replayed. Changing the value
+  /// changes which retransmissions re-run the handler, and so moves the
+  /// overload fingerprints.
+  static constexpr sim::Duration kDedupLifetime = sim::Duration::sec(60);
+
  private:
+  /// A cached reply. Up to kInlineBytes live in place — a piggybacked ACK
+  /// with a 4-byte token is 8 bytes — so a typical entry allocates nothing
+  /// beyond its map node; longer replies go to the heap.
+  class CachedWire {
+   public:
+    explicit CachedWire(std::span<const std::uint8_t> wire);
+    [[nodiscard]] std::vector<std::uint8_t> to_vector() const;
+
+   private:
+    static constexpr std::size_t kInlineBytes = 12;
+    std::unique_ptr<std::uint8_t[]> heap_;  // null when the reply fits inline
+    std::uint32_t size_{0};
+    std::array<std::uint8_t, kInlineBytes> inline_{};
+  };
+  struct CachedResponse {
+    sim::TimePoint at;
+    CachedWire wire;
+  };
+  using DedupMap = std::map<std::pair<net::Ipv6Addr, std::uint16_t>, CachedResponse>;
+
   void on_datagram(const net::Ipv6Addr& src, std::uint16_t src_port, std::uint16_t dst_port,
                    std::vector<std::uint8_t> payload, sim::TimePoint at);
 
@@ -50,12 +81,13 @@ class CoapServer {
   std::uint64_t responses_tx_{0};
   std::uint64_t duplicates_rx_{0};
   // RFC 7252 deduplication: (peer, message id) -> cached response, replayed
-  // for retransmitted CON requests within EXCHANGE_LIFETIME.
-  struct CachedResponse {
-    std::vector<std::uint8_t> wire;
-    sim::TimePoint at;
-  };
-  std::map<std::pair<net::Ipv6Addr, std::uint16_t>, CachedResponse> dedup_;
+  // for retransmitted CON requests within kDedupLifetime. Every entry is
+  // inserted at the current time and only when its key is absent, so arrival
+  // order is expiry order: dedup_order_ lists the entries oldest first and
+  // expiry pops its front. A request costs O(log n) plus the entries it
+  // expires, whatever the occupancy.
+  DedupMap dedup_;
+  std::deque<DedupMap::iterator> dedup_order_;
 };
 
 /// RFC 7252 retransmission parameters for confirmable requests. The paper's
