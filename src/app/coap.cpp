@@ -47,7 +47,12 @@ std::uint8_t nibble_for(std::size_t v) {
 
 std::vector<std::uint8_t> coap_encode(const CoapMessage& msg) {
   assert(msg.token.size() <= 8);
+  // Upper bound (an option header is at most 1 + 2 + 2 bytes): one
+  // allocation, no reallocation while inserting.
+  std::size_t bound = 4 + msg.token.size() + 1 + msg.payload.size();
+  for (const CoapOption& opt : msg.options) bound += 5 + opt.value.size();
   std::vector<std::uint8_t> out;
+  out.reserve(bound);
   out.push_back(static_cast<std::uint8_t>(
       1U << 6 | static_cast<unsigned>(msg.type) << 4 | msg.token.size()));
   out.push_back(msg.code);

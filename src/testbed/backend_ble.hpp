@@ -16,7 +16,6 @@
 #include "core/nimble_netif.hpp"
 #include "core/statconn.hpp"
 #include "obs/recorder.hpp"
-#include "phy/ble_phy.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "testbed/experiment.hpp"
@@ -47,15 +46,6 @@ class BleConnBackend final : public core::LinkBackend {
   void fold_energy(obs::Registry& reg, sim::Duration elapsed) const override;
   void on_node_crash(NodeId id) override;
   void on_node_reboot(NodeId id) override;
-
-  /// Nothing a connection event schedules lands closer than one empty
-  /// packet-pair exchange after its anchor (deliveries and backpressure
-  /// releases sit at the end of at least one TX/RX pair; everything else —
-  /// next anchor, reconnect backoff, app timers — is milliseconds away).
-  /// Quoted at LE 2M, the faster PHY, so it is conservative for either mode.
-  [[nodiscard]] sim::Duration parallel_lookahead() const override {
-    return phy::pair_time(0, 0, phy::PhyMode::k2M);
-  }
 
   [[nodiscard]] ble::BleWorld* world() { return world_.get(); }
   [[nodiscard]] core::Statconn* statconn(NodeId id) {

@@ -1,65 +1,30 @@
 #pragma once
-// Differential oracle for the lookahead-parallel scheduler.
+// Differential oracle: runs one ExperimentConfig twice and reports every
+// observable output that differs — each summary field and the full
+// observability counter map, in both directions.
 //
-// The contract under test: for any ExperimentConfig, running with
-// sim.threads = N must be *bit-identical* to the single-threaded oracle —
-// every summary field, the full observability counter map, the campaign JSON
-// a single-cell sweep would emit, and the raw bytes of a .mgt trace stream.
-//
-// run_differential() executes the config twice (serial oracle first, then
-// parallel) and reports the first divergence as text, so the same fixture
-// serves GTest (expect_bit_identical → EXPECT with the message) and the
-// choice-tape property engine (PROP_ASSERT(r.ok, r.divergence) lets the
-// shrinker reduce any divergence to a minimal config).
+// Two runs of the same config must be *bit-identical*, or must both fail
+// with the identical error (random topo specs can fail construction
+// deterministically, e.g. disconnected worlds). run_differential() reports
+// the divergence as text, so the same fixture serves GTest
+// (EXPECT_TRUE(r.ok) << r.divergence) and the choice-tape property engine
+// (PROP_ASSERT(r.ok, r.divergence) lets the shrinker reduce any divergence to
+// a minimal config).
 
-#include <unistd.h>
-
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
-#include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
-#include <utility>
 
-#include "campaign/runner.hpp"
-#include "campaign/spec.hpp"
-#include "campaign/writers.hpp"
-#include "sim/parallel.hpp"
 #include "testbed/experiment.hpp"
 
 namespace mgap::testhelpers {
-
-struct OracleOptions {
-  /// Parallel thread count (the serial oracle always runs at 1).
-  unsigned threads{4};
-  /// Also run a single-cell campaign under both schedulers and compare the
-  /// rendered JSON byte-for-byte (two extra experiment runs).
-  bool compare_campaign_json{false};
-  /// Also run both schedulers with a .mgt trace attached and compare the
-  /// trace files byte-for-byte (two extra experiment runs; the parallel one
-  /// exercises the force-serial path, which still runs the window/deferred
-  /// machinery).
-  bool compare_mgt_trace{false};
-};
 
 struct OracleResult {
   bool ok{true};
   /// Human-readable description of every field that diverged (empty when ok).
   std::string divergence;
-  testbed::ExperimentSummary serial;
-  testbed::ExperimentSummary parallel;
-  /// Error text when a run threw (random topo specs can fail construction
-  /// deterministically — e.g. disconnected worlds). Both schedulers must
-  /// throw the identical error; only one throwing is a divergence.
-  std::string serial_error;
-  std::string parallel_error;
-  /// Stats of the parallel run (vacuousness checks: did workers actually
-  /// execute anything in parallel?).
-  sim::ParallelStats stats;
 };
 
 namespace detail {
@@ -81,7 +46,7 @@ inline std::string num(const std::string& v) { return '"' + v + '"'; }
 template <class T>
 void cmp(std::string& out, const char* name, const T& a, const T& b) {
   if (a == b) return;
-  diverge(out, std::string{name} + ": serial=" + num(a) + " parallel=" + num(b));
+  diverge(out, std::string{name} + ": first=" + num(a) + " second=" + num(b));
 }
 
 inline void cmp_counters(std::string& out, const std::map<std::string, double>& a,
@@ -89,24 +54,23 @@ inline void cmp_counters(std::string& out, const std::map<std::string, double>& 
   for (const auto& [k, v] : a) {
     auto it = b.find(k);
     if (it == b.end()) {
-      diverge(out, "counters[" + k + "]: serial=" + num(v) + " parallel=<absent>");
+      diverge(out, "counters[" + k + "]: first=" + num(v) + " second=<absent>");
     } else if (it->second != v) {
-      diverge(out, "counters[" + k + "]: serial=" + num(v) +
-                       " parallel=" + num(it->second));
+      diverge(out, "counters[" + k + "]: first=" + num(v) + " second=" + num(it->second));
     }
   }
   for (const auto& [k, v] : b) {
     if (a.find(k) == a.end()) {
-      diverge(out, "counters[" + k + "]: serial=<absent> parallel=" + num(v));
+      diverge(out, "counters[" + k + "]: first=<absent> second=" + num(v));
     }
   }
 }
 
 /// Compares every observable field of the two summaries.
-inline void cmp_summaries(std::string& out, const testbed::ExperimentSummary& s,
-                          const testbed::ExperimentSummary& p) {
-#define MGAP_ORACLE_FIELD(f) cmp(out, #f, s.f, p.f)
-  cmp(out, "topo_generator", s.topo_generator, p.topo_generator);
+inline void cmp_summaries(std::string& out, const testbed::ExperimentSummary& a,
+                          const testbed::ExperimentSummary& b) {
+#define MGAP_ORACLE_FIELD(f) cmp(out, #f, a.f, b.f)
+  MGAP_ORACLE_FIELD(topo_generator);
   MGAP_ORACLE_FIELD(topo_seed);
   MGAP_ORACLE_FIELD(topo_nodes);
   MGAP_ORACLE_FIELD(topo_mean_hops);
@@ -138,128 +102,39 @@ inline void cmp_summaries(std::string& out, const testbed::ExperimentSummary& s,
   MGAP_ORACLE_FIELD(pdr_during_fault);
   MGAP_ORACLE_FIELD(pdr_post_fault);
 #undef MGAP_ORACLE_FIELD
-  cmp_counters(out, s.counters, p.counters);
+  cmp_counters(out, a.counters, b.counters);
 }
 
-inline std::string cmp_text(const char* what, const std::string& a,
-                            const std::string& b) {
-  if (a == b) return {};
-  std::size_t i = 0;
-  while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
-  std::ostringstream os;
-  os << what << ": diverges at byte " << i << " (serial " << a.size()
-     << " bytes, parallel " << b.size() << " bytes)";
-  if (i < a.size() || i < b.size()) {
-    os << "; serial[..]=\"" << a.substr(i, 40) << "\" parallel[..]=\""
-       << b.substr(i, 40) << '"';
+/// One full run; the error text lands in `error` instead of propagating.
+inline testbed::ExperimentSummary run_one(const testbed::ExperimentConfig& cfg,
+                                          std::string& error) {
+  try {
+    testbed::Experiment e{cfg};
+    e.run();
+    return e.summary();
+  } catch (const std::exception& ex) {
+    error = ex.what();
+    return {};
   }
-  return os.str();
-}
-
-/// Unique scratch path under the system temp dir (deleted by the caller).
-inline std::string scratch_path(const char* stem) {
-  static std::atomic<std::uint64_t> counter{0};
-  const auto n = counter.fetch_add(1, std::memory_order_relaxed);
-  auto p = std::filesystem::temp_directory_path() /
-           ("mgap_oracle_" + std::to_string(::getpid()) + "_" + stem + "_" +
-            std::to_string(n) + ".mgt");
-  return p.string();
-}
-
-inline std::string slurp(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-inline testbed::ExperimentSummary run_one(testbed::ExperimentConfig cfg,
-                                          unsigned threads,
-                                          sim::ParallelStats* stats_out) {
-  cfg.sim_threads = threads;
-  testbed::Experiment e{std::move(cfg)};
-  e.run();
-  if (stats_out != nullptr) {
-    if (auto* par = e.parallel_scheduler(); par != nullptr) *stats_out = par->stats();
-  }
-  return e.summary();
-}
-
-inline std::string campaign_json(const testbed::ExperimentConfig& cfg,
-                                 unsigned threads) {
-  campaign::CampaignSpec spec;
-  spec.name = "oracle";
-  spec.base = cfg;
-  spec.base.sim_threads = threads;
-  campaign::RunnerOptions opts;
-  opts.threads = 1;  // campaign-level parallelism is not under test here
-  opts.progress = false;
-  campaign::CampaignRunner runner{opts};
-  // Fingerprint-stable form: no code-version metadata, like the benches.
-  return campaign::to_json(runner.run(spec), /*include_code_version=*/false);
 }
 
 }  // namespace detail
 
-/// Runs `cfg` under the serial oracle and under the parallel scheduler and
-/// compares every observable output. Never asserts itself — callers decide
-/// (EXPECT_TRUE(r.ok) << r.divergence, or PROP_ASSERT(r.ok, r.divergence)).
-inline OracleResult run_differential(const testbed::ExperimentConfig& cfg,
-                                     const OracleOptions& opt = {}) {
+/// Runs `cfg` twice and compares every observable output. Never asserts
+/// itself — callers decide (EXPECT_TRUE(r.ok) << r.divergence, or
+/// PROP_ASSERT(r.ok, r.divergence)).
+inline OracleResult run_differential(const testbed::ExperimentConfig& cfg) {
   OracleResult r;
-  try {
-    r.serial = detail::run_one(cfg, 1, nullptr);
-  } catch (const std::exception& e) {
-    r.serial_error = e.what();
-  }
-  try {
-    r.parallel = detail::run_one(cfg, opt.threads, &r.stats);
-  } catch (const std::exception& e) {
-    r.parallel_error = e.what();
-  }
-  if (r.serial_error != r.parallel_error) {
+  std::string first_error;
+  std::string second_error;
+  const testbed::ExperimentSummary first = detail::run_one(cfg, first_error);
+  const testbed::ExperimentSummary second = detail::run_one(cfg, second_error);
+  if (first_error != second_error) {
     detail::diverge(r.divergence,
-                    "error: serial=\"" + r.serial_error + "\" parallel=\"" +
-                        r.parallel_error + '"');
+                    "error: first=\"" + first_error + "\" second=\"" + second_error + '"');
+  } else if (first_error.empty()) {
+    detail::cmp_summaries(r.divergence, first, second);
   }
-  if (!r.serial_error.empty()) {
-    // Both sides failed identically: a valid (deterministic) outcome, and
-    // there are no summaries/files to compare.
-    r.ok = r.divergence.empty();
-    return r;
-  }
-  detail::cmp_summaries(r.divergence, r.serial, r.parallel);
-
-  if (opt.compare_campaign_json) {
-    const std::string js = detail::campaign_json(cfg, 1);
-    const std::string jp = detail::campaign_json(cfg, opt.threads);
-    if (auto d = detail::cmp_text("campaign JSON", js, jp); !d.empty()) {
-      detail::diverge(r.divergence, d);
-    }
-  }
-
-  if (opt.compare_mgt_trace) {
-    const std::string ps = detail::scratch_path("serial");
-    const std::string pp = detail::scratch_path("parallel");
-    testbed::ExperimentConfig ts = cfg;
-    ts.trace_file = ps;
-    (void)detail::run_one(ts, 1, nullptr);
-    testbed::ExperimentConfig tp = cfg;
-    tp.trace_file = pp;
-    (void)detail::run_one(tp, opt.threads, nullptr);
-    const std::string bs = detail::slurp(ps);
-    const std::string bp = detail::slurp(pp);
-    if (bs.empty()) {
-      detail::diverge(r.divergence, ".mgt trace: serial trace file is empty");
-    }
-    if (auto d = detail::cmp_text(".mgt trace", bs, bp); !d.empty()) {
-      detail::diverge(r.divergence, d);
-    }
-    std::error_code ec;
-    std::filesystem::remove(ps, ec);
-    std::filesystem::remove(pp, ec);
-  }
-
   r.ok = r.divergence.empty();
   return r;
 }

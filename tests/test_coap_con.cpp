@@ -253,8 +253,9 @@ constexpr NodeId kServerNode = 100;
 CoapMessage numbered_reply(int n) {
   CoapMessage rsp;
   rsp.code = kCodeContent;
-  rsp.payload = {static_cast<std::uint8_t>(n >> 8), static_cast<std::uint8_t>(n)};
-  if (n % 3 == 0) rsp.payload.resize(24, 0x5A);
+  rsp.payload.assign(n % 3 == 0 ? 24 : 2, 0x5A);
+  rsp.payload[0] = static_cast<std::uint8_t>(n >> 8);
+  rsp.payload[1] = static_cast<std::uint8_t>(n);
   return rsp;
 }
 

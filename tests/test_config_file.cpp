@@ -83,6 +83,17 @@ TEST(ConfigFile, StarTopology) {
   EXPECT_EQ(cfg.topology.nodes.size(), 8u);
 }
 
+/// Asserts that parsing `line` fails with exactly `message` — the rejection
+/// paths are part of the config contract, not just "some exception".
+void expect_config_error(const std::string& line, const std::string& message) {
+  try {
+    (void)parse_experiment_config(line + "\n");
+    FAIL() << "expected '" << line << "' to be rejected";
+  } catch (const std::runtime_error& err) {
+    EXPECT_EQ(err.what(), message) << "for: " << line;
+  }
+}
+
 TEST(ConfigFile, RejectsUnknownKeyAndBadValues) {
   EXPECT_THROW((void)parse_experiment_config("connn_interval = 75ms\n"),
                std::runtime_error);
@@ -91,6 +102,8 @@ TEST(ConfigFile, RejectsUnknownKeyAndBadValues) {
   EXPECT_THROW((void)parse_experiment_config("just a line\n"), std::runtime_error);
   EXPECT_THROW((void)parse_experiment_config("jam_channel_22 = maybe\n"),
                std::runtime_error);
+  expect_config_error("sim.threads = 2", "config: unknown key 'sim.threads'");
+  expect_config_error("sim.window = 250us", "config: unknown key 'sim.window'");
 }
 
 TEST(ConfigFile, DefaultsMatchExperimentDefaults) {
@@ -261,17 +274,6 @@ TEST(ConfigFile, ShippedSampleConfigsParse) {
 }
 
 // --- link.backend / mesh.* strict validation -------------------------------
-
-/// Asserts that parsing `line` fails with exactly `message` — the rejection
-/// paths are part of the config contract, not just "some exception".
-void expect_config_error(const std::string& line, const std::string& message) {
-  try {
-    (void)parse_experiment_config(line + "\n");
-    FAIL() << "expected '" << line << "' to be rejected";
-  } catch (const std::runtime_error& err) {
-    EXPECT_EQ(err.what(), message) << "for: " << line;
-  }
-}
 
 TEST(ConfigFile, LinkBackendParses) {
   EXPECT_EQ(parse_experiment_config("link.backend = ble\n").radio,

@@ -2,8 +2,10 @@
 // a pure function of (spec, seed, ids) — same seed is bit-identical, a
 // monotone relabel of the node ids moves the labels without moving the
 // geometry or the tree shape, and an unformable deployment fails with the
-// exact same error every time. Each property reproduces from the seed its
-// failure report prints (see src/check/property.hpp).
+// exact same error every time. A full experiment on a random generated world
+// is likewise bit-identical when rerun with the same seed (the differential
+// oracle, tests/helpers/oracle.hpp). Each property reproduces from the seed
+// its failure report prints (see src/check/property.hpp).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,8 @@
 #include <vector>
 
 #include "check/property.hpp"
+#include "helpers/oracle.hpp"
+#include "testbed/experiment.hpp"
 #include "topo/placement.hpp"
 #include "topo/spec.hpp"
 #include "topo/world.hpp"
@@ -201,6 +205,24 @@ TEST(TopoProperty, ConnectedTreeOrDeterministicFailure) {
       }
     }
   });
+  EXPECT_TRUE(result.ok) << result.report();
+}
+
+TEST(TopoProperty, SameSeedExperimentRerunIsBitIdentical) {
+  check::PropertyConfig pc;
+  pc.rounds = 4;  // two full experiments per round
+  const auto result = check_property(
+      "topo-experiment-rerun",
+      [](check::Gen& g) {
+        testbed::ExperimentConfig cfg;
+        cfg.topo = gen_spec(g);
+        cfg.duration = sim::Duration::sec(10);
+        cfg.producer_interval = sim::Duration::sec(2);
+        cfg.seed = g.u64(1, 1000);
+        const auto r = testhelpers::run_differential(cfg);
+        PROP_ASSERT(r.ok, r.divergence);
+      },
+      pc);
   EXPECT_TRUE(result.ok) << result.report();
 }
 
