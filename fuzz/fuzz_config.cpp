@@ -1,8 +1,8 @@
 // Fuzz target: the experiment-description and campaign-spec parsers — the
 // only components that consume user-authored files. Both must either return
 // a config or throw their documented std::runtime_error; on success,
-// render_experiment_config must produce text the parser accepts again
-// (config files survive a save/load cycle).
+// render_experiment_config must produce text the parser accepts again and
+// that renders identically (config files survive a save/load cycle).
 
 #include <cstdint>
 #include <cstdlib>
@@ -24,11 +24,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   }
   if (cfg.has_value()) {
     const std::string rendered = mgap::testbed::render_experiment_config(*cfg);
+    std::string again;
     try {
-      (void)mgap::testbed::parse_experiment_config(rendered);
+      again = mgap::testbed::render_experiment_config(
+          mgap::testbed::parse_experiment_config(rendered));
     } catch (const std::runtime_error&) {
       std::abort();  // the renderer emitted something the parser rejects
     }
+    if (again != rendered) std::abort();  // render is not a fixed point
   }
 
   try {

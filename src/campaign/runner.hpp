@@ -9,11 +9,11 @@
 // data except the progress-only wall times — the JSON/CSV output of a
 // campaign is byte-identical for 1 thread and N threads (tested).
 //
-// Thread-safety audit (satellite of PR 1): an Experiment owns every piece of
-// mutable state it touches — Simulator (event queue + RNG streams), Metrics,
-// BleWorld/Network154, per-node stacks — and the tree holds no globals or
-// function-local statics. The only shared-sink hazard, sim::Tracer, is opt-in
-// (null by default) and never installed by the runner; the process-wide
+// Thread-safety audit: an Experiment owns every piece of mutable state it
+// touches — Simulator (event queue + RNG streams), Metrics, BleWorld/
+// Network154, per-node stacks — and the tree holds no mutable globals or
+// function-local statics (the config key table is immutable once built).
+// Trace sinks (obs::Recorder) are per-Experiment; the process-wide
 // stdout/stderr are written only by the mutex-guarded progress reporter.
 // `tests/test_campaign.cpp` pins this down by running concurrent Experiments
 // against serial ones, and CI builds the campaign tests under

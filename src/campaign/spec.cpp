@@ -1,6 +1,6 @@
 #include "campaign/spec.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
 #include <fstream>
 #include <sstream>
@@ -10,15 +10,7 @@ namespace mgap::campaign {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
+using testbed::trim;
 
 std::vector<std::string_view> split(std::string_view s, char sep) {
   std::vector<std::string_view> out;
@@ -116,64 +108,44 @@ std::vector<std::uint64_t> parse_seed_list(std::string_view text) {
 
 CampaignSpec parse_campaign_spec(std::string_view text) {
   CampaignSpec spec;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const auto nl = text.find('\n', pos);
-    std::string_view line = text.substr(
-        pos, nl == std::string_view::npos ? std::string_view::npos : nl - pos);
-    pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
-    ++line_no;
-
-    const auto hash = line.find('#');
-    if (hash != std::string_view::npos) line = line.substr(0, hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    const auto eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::runtime_error{"campaign line " + std::to_string(line_no) +
-                               ": expected key = value"};
-    }
-    const std::string key{trim(line.substr(0, eq))};
-    const std::string value{trim(line.substr(eq + 1))};
-
+  testbed::read_config_lines(text, "campaign", [&spec](std::size_t line_no,
+                                                       std::string_view key,
+                                                       std::string_view value) {
     if (key == "campaign") {
       spec.name = value;
-      continue;
+      return;
     }
     if (key == "seeds") {
       spec.seeds = parse_seed_list(value);
-      continue;
+      return;
     }
     // A comma makes the key a sweep axis; a single value configures the base.
     // (No ExperimentConfig value contains a comma: ranges use ':', names are
     // bare words — so the comma is unambiguous sweep syntax.)
-    if (value.find(',') != std::string_view::npos) {
-      CampaignSpec::Axis axis;
-      axis.key = key;
-      for (const std::string_view part : split(value, ',')) {
-        if (part.empty()) {
-          throw std::runtime_error{"campaign line " + std::to_string(line_no) +
-                                   ": empty sweep value for '" + key + "'"};
-        }
-        axis.values.emplace_back(part);
-      }
-      // Validate each value now, against a scratch config, so a typo fails at
-      // parse time rather than mid-campaign.
-      for (const std::string& v : axis.values) {
-        testbed::ExperimentConfig scratch = spec.base;
-        testbed::apply_experiment_kv(scratch, key, v);
-      }
-      for (const CampaignSpec::Axis& existing : spec.axes) {
-        if (existing.key == key) {
-          throw std::runtime_error{"campaign: duplicate sweep axis '" + key + "'"};
-        }
-      }
-      spec.axes.push_back(std::move(axis));
-      continue;
+    if (value.find(',') == std::string_view::npos) {
+      testbed::apply_experiment_kv(spec.base, key, value);
+      return;
     }
-    testbed::apply_experiment_kv(spec.base, key, value);
-  }
+    CampaignSpec::Axis axis;
+    axis.key = key;
+    for (const std::string_view part : split(value, ',')) {
+      if (part.empty()) {
+        throw std::runtime_error{"campaign line " + std::to_string(line_no) +
+                                 ": empty sweep value for '" + axis.key + "'"};
+      }
+      axis.values.emplace_back(part);
+    }
+    // Validate each value now, against a scratch config, so a typo fails at
+    // parse time rather than mid-campaign.
+    for (const std::string& v : axis.values) {
+      testbed::ExperimentConfig scratch = spec.base;
+      testbed::apply_experiment_kv(scratch, key, v);
+    }
+    if (std::ranges::any_of(spec.axes, [&](const auto& a) { return a.key == key; })) {
+      throw std::runtime_error{"campaign: duplicate sweep axis '" + axis.key + "'"};
+    }
+    spec.axes.push_back(std::move(axis));
+  });
   return spec;
 }
 

@@ -3,15 +3,463 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <fstream>
+#include <limits>
+#include <map>
+#include <span>
 #include <sstream>
 #include <stdexcept>
-
-#include "topo/spec.hpp"
+#include <type_traits>
+#include <utility>
 
 namespace mgap::testbed {
 
 namespace {
+
+[[noreturn]] void bad(std::string_view key) {
+  throw std::runtime_error{"config: bad " + std::string(key)};
+}
+
+[[noreturn]] void out_of_range(std::string_view key, const std::string& range) {
+  throw std::runtime_error{"config: " + std::string(key) + " " + range};
+}
+
+/// Shortest decimal form that parses back to the same double (std::to_chars).
+std::string shortest(double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
+}
+
+bool parse_bool(std::string_view v, std::string_view key) {
+  if (v == "true" || v == "yes" || v == "1") return true;
+  if (v == "false" || v == "no" || v == "0") return false;
+  throw std::runtime_error{"config: bad boolean for '" + std::string(key) + "'"};
+}
+
+/// Strictly parses an integer in [lo, hi]; throws "config: bad <key>"
+/// deterministically on anything else (signs, fractions, exponents, garbage).
+std::uint64_t parse_uint_in(std::string_view v, std::string_view key, std::uint64_t lo,
+                            std::uint64_t hi) {
+  std::uint64_t u{};
+  const auto* end = v.data() + v.size();
+  const auto res = std::from_chars(v.data(), end, u);
+  if (res.ec != std::errc{} || res.ptr != end) bad(key);
+  if (u >= lo && u <= hi) return u;
+  out_of_range(key,
+               "out of range [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
+}
+
+/// Accepted range of a real-valued key; `open_lo` excludes `lo` itself.
+struct Bounds {
+  double lo;
+  double hi;
+  bool open_lo;
+};
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr Bounds kAnyReal{-kInf, kInf, false};
+constexpr Bounds kNonNegative{0.0, kInf, false};
+constexpr Bounds kPositive{0.0, kInf, true};
+constexpr Bounds kUnit{0.0, 1.0, false};
+
+/// Parses a finite double within `b`; throws "config: bad <key>" on garbage,
+/// NaN or infinity, and names the range otherwise.
+double parse_real_in(std::string_view v, std::string_view key, Bounds b) {
+  double d{};
+  const auto* end = v.data() + v.size();
+  const auto res = std::from_chars(v.data(), end, d);
+  if (res.ec != std::errc{} || res.ptr != end || !std::isfinite(d)) bad(key);
+  if ((b.open_lo ? d > b.lo : d >= b.lo) && d <= b.hi) return d;
+  const std::string lo = shortest(b.lo);
+  if (b.hi == kInf) out_of_range(key, (b.open_lo ? "must be > " : "must be >= ") + lo);
+  out_of_range(key, "out of range " + std::string{b.open_lo ? "(" : "["} + lo + ", " +
+                        shortest(b.hi) + "]");
+}
+
+constexpr sim::Duration kForever =
+    sim::Duration::ns(std::numeric_limits<std::int64_t>::max());
+
+/// Parses a duration in [lo, hi]; negative or malformed values are "bad".
+sim::Duration parse_duration_in(std::string_view v, std::string_view key,
+                                sim::Duration lo, sim::Duration hi) {
+  const auto d = sim::parse_duration(v);
+  if (!d || d->is_negative()) bad(key);
+  if (*d >= lo && *d <= hi) return *d;
+  if (hi == kForever) out_of_range(key, "must be >= " + lo.str());
+  out_of_range(key, "out of range [" + lo.str() + ", " + hi.str() + "]");
+}
+
+/// "65:85ms" or "65ms:85ms" -> randomized policy; plain duration -> fixed.
+core::IntervalPolicy parse_policy(std::string_view v) {
+  const auto colon = v.find(':');
+  if (colon == std::string_view::npos) {
+    const auto d = sim::parse_duration(v);
+    if (!d) throw std::runtime_error{"config: bad conn_interval"};
+    return core::IntervalPolicy::fixed(*d);
+  }
+  const std::string_view hi_s = trim(v.substr(colon + 1));
+  const auto hi = sim::parse_duration(hi_s);
+  if (!hi) throw std::runtime_error{"config: bad conn_interval window"};
+  // Shorthand "65:85ms": a bare lower bound takes the upper bound's unit.
+  std::string lo_s{trim(v.substr(0, colon))};
+  if (lo_s.find_first_not_of("0123456789.") == std::string::npos) {
+    lo_s += hi_s.substr(hi_s.find_first_not_of("0123456789."));
+  }
+  const auto lo = sim::parse_duration(lo_s);
+  if (!lo || *hi < *lo) throw std::runtime_error{"config: bad conn_interval window"};
+  return core::IntervalPolicy::randomized(*lo, *hi);
+}
+
+Topology parse_topology(std::string_view v, std::string_view key) {
+  if (v == "tree15" || v == "tree") return Topology::tree15();
+  if (v == "line15" || v == "line") return Topology::line15();
+  if (v.starts_with("star")) {
+    const auto nodes = parse_uint_in(v.substr(4), key, 2, 100'000);
+    return Topology::star(static_cast<unsigned>(nodes));
+  }
+  throw std::runtime_error{"config: unknown " + std::string(key) + " '" + std::string(v) +
+                           "'"};
+}
+
+/// flow.preset macro: switches whole tiers of the overload-survival stack on.
+/// Overwrites the individual flow.*/cc.* knobs it covers; keys sorting after
+/// "flow.preset" still win (config maps apply in alphabetical order).
+void apply_flow_preset(ExperimentConfig& cfg, std::string_view, std::string_view value) {
+  const bool link = value == "link" || value == "all";
+  const bool netif = value == "netif" || value == "all";
+  const bool app = value == "app" || value == "all";
+  if (!link && !netif && !app && value != "off") {
+    throw std::runtime_error{"config: unknown flow.preset '" + std::string(value) +
+                             "' (off|link|netif|app|all)"};
+  }
+  cfg.l2cap_deferred_credits = link;
+  cfg.flow.txq_frames = netif ? 16 : 0;
+  cfg.flow.backoff = netif;
+  cfg.flow.breaker = netif;
+  cfg.cc.mode =
+      app ? app::CoapCcConfig::Mode::kCocoa : app::CoapCcConfig::Mode::kFixedRto;
+  // NSTART 16 rather than the RFC 7252 default of 1: multi-hop BLE RTT is
+  // connection-interval bound (~200 ms over three hops at 75 ms), so a
+  // single outstanding exchange caps goodput far below link capacity. The
+  // preset picks a window that fills the latency-bandwidth product; set
+  // cc.nstart explicitly to override.
+  cfg.cc.nstart = app ? 16 : 0;
+}
+
+void line(std::string& out, std::string_view key, std::string_view value) {
+  out.append(key).append(" = ").append(value).append("\n");
+}
+
+const ExperimentConfig& defaults() {
+  static const ExperimentConfig config;
+  return config;
+}
+
+// --- the key table ----------------------------------------------------------
+
+/// One config key: `parse` applies a value (given the key as written, which
+/// matters for prefix families); `render` appends the key's line(s) for a
+/// config, and is null for a key that never has a line of its own.
+struct Key {
+  std::string_view name;  // a trailing '.' makes it a prefix family
+  std::function<void(ExperimentConfig&, std::string_view key, std::string_view v)> parse;
+  std::function<void(const ExperimentConfig&, std::string_view key, std::string&)> render;
+};
+
+/// When a field row renders: always when the predicate holds, and otherwise
+/// only when its value is off the ExperimentConfig default.
+using Show = bool (*)(const ExperimentConfig&);
+constexpr Show kAlways = [](const ExperimentConfig&) { return true; };
+constexpr Show kOffDefault = [](const ExperimentConfig&) { return false; };
+
+/// Field accessor for the row makers (const and non-const configs).
+#define FIELD(path) [](auto& c) -> auto& { return c.path; }
+
+template <typename Get>
+using FieldOf =
+    std::remove_cvref_t<decltype(std::declval<Get>()(std::declval<ExperimentConfig&>()))>;
+
+/// A row over one field: `parse(value, key)` converts, `format` renders.
+template <typename Get, typename Parse, typename Format>
+Key field(std::string_view name, Get get, Parse parse, Format format, Show show) {
+  return {name,
+          [=](ExperimentConfig& c, std::string_view key, std::string_view v) {
+            get(c) = parse(v, key);
+          },
+          [=](const ExperimentConfig& c, std::string_view key, std::string& out) {
+            if (show(c) || get(c) != get(defaults())) line(out, key, format(get(c)));
+          }};
+}
+
+/// Wraps a value parser so its errors read "config: <key>: <what>".
+template <typename Parse>
+auto prefixed(Parse parse) {
+  return [parse](std::string_view v, std::string_view key) {
+    try {
+      return parse(v);
+    } catch (const std::exception& e) {
+      throw std::runtime_error{"config: " + std::string(key) + ": " + e.what()};
+    }
+  };
+}
+
+std::string render_duration(sim::Duration d) { return d.str(); }
+
+template <typename Get>
+Key flag(std::string_view name, Get get, Show show) {
+  return field(name, get, parse_bool, [](bool b) { return b ? "true" : "false"; }, show);
+}
+
+template <typename Get>
+Key integer(std::string_view name, Get get, std::uint64_t lo, std::uint64_t hi,
+            Show show) {
+  using T = FieldOf<Get>;
+  const auto parse = [lo, hi](std::string_view v, std::string_view key) {
+    return static_cast<T>(parse_uint_in(v, key, lo, hi));
+  };
+  return field(name, get, parse, [](T n) { return std::to_string(n); }, show);
+}
+
+template <typename Get>
+Key real(std::string_view name, Get get, Bounds bounds, Show show) {
+  const auto parse = [bounds](std::string_view v, std::string_view key) {
+    return parse_real_in(v, key, bounds);
+  };
+  return field(name, get, parse, shortest, show);
+}
+
+template <typename Get>
+Key duration(std::string_view name, Get get, Show show, sim::Duration lo = {},
+             sim::Duration hi = kForever) {
+  const auto parse = [lo, hi](std::string_view v, std::string_view key) {
+    return parse_duration_in(v, key, lo, hi);
+  };
+  return field(name, get, parse, render_duration, show);
+}
+
+/// Enumerated values; renders the first name mapped to the current value.
+template <typename Get>
+Key choice(std::string_view name, Get get,
+           std::initializer_list<std::pair<std::string_view, FieldOf<Get>>> names,
+           Show show) {
+  using Entry = std::pair<std::string_view, FieldOf<Get>>;
+  const std::vector<Entry> table(names);
+  const auto parse = [table](std::string_view v, std::string_view key) {
+    std::string all;
+    for (const auto& [n, value] : table) {
+      if (n == v) return value;
+      all.append(all.empty() ? "" : "|").append(n);
+    }
+    throw std::runtime_error{"config: unknown " + std::string(key) + " '" +
+                             std::string(v) + "' (" + all + ")"};
+  };
+  const auto format = [table](FieldOf<Get> value) {
+    return std::ranges::find(table, value, &Entry::second)->first;
+  };
+  return field(name, get, parse, format, show);
+}
+
+/// Output paths: "none"/"off" clears the sink so a campaign axis can disable it.
+template <typename Get>
+Key path(std::string_view name, Get get) {
+  const auto parse = [](std::string_view v, std::string_view) {
+    return v == "none" || v == "off" ? std::string{} : std::string(v);
+  };
+  return field(name, get, parse, [](const std::string& p) { return p; }, kOffDefault);
+}
+
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+/// Every experiment-config key, in render order. Parse order is independent
+/// (alphabetical, see parse_experiment_config).
+std::span<const Key> keys() {
+  using Gen = topo::Generator;
+  using Radio = ExperimentConfig::Radio;
+  using sim::Duration;
+  static const Key table[] = {
+      // The two original radios keep their legacy line (byte-stable renders);
+      // the newer backends use the superset key.
+      {"radio",
+       [](ExperimentConfig& c, std::string_view, std::string_view v) {
+         if (v == "ble") c.radio = Radio::kBle;
+         else if (v == "802154" || v == "ieee802154") c.radio = Radio::kIeee802154;
+         else throw std::runtime_error{"config: unknown radio '" + std::string(v) + "'"};
+       },
+       [](const ExperimentConfig& c, std::string_view name, std::string& out) {
+         if (c.radio == Radio::kBle) line(out, name, "ble");
+         if (c.radio == Radio::kIeee802154) line(out, name, "ieee802154");
+       }},
+      {"link.backend",
+       [](ExperimentConfig& c, std::string_view, std::string_view v) {
+         c.radio = core::parse_link_backend_kind(std::string(v));
+       },
+       [](const ExperimentConfig& c, std::string_view name, std::string& out) {
+         if (c.radio == Radio::kBle || c.radio == Radio::kIeee802154) return;
+         line(out, name, core::to_string(c.radio));
+       }},
+      // Generated worlds: the topo.* spec is the source of truth; a static
+      // "topology =" line would conflict with (and be overridden by) it.
+      {"topology",
+       [](ExperimentConfig& c, std::string_view key, std::string_view v) {
+         c.topology = parse_topology(v, key);
+       },
+       [](const ExperimentConfig& c, std::string_view name, std::string& out) {
+         if (c.topo.enabled()) return;
+         const Topology& t = c.topology;
+         line(out, name, t.name + std::to_string(t.name == "star" ? t.nodes.size() : 15));
+       }},
+      choice("topo.generator", FIELD(topo.generator),
+             {{"none", Gen::kNone},
+              {"off", Gen::kNone},
+              {"grid", Gen::kGrid},
+              {"jitter_grid", Gen::kJitterGrid},
+              {"rgg", Gen::kRgg},
+              {"floorplan", Gen::kFloorplan}},
+             kOffDefault),
+      integer("topo.nodes", FIELD(topo.nodes), 1, kMaxU32, kAlways),
+      real("topo.area", FIELD(topo.area), kNonNegative, kOffDefault),
+      real("topo.density", FIELD(topo.density), kPositive,
+           [](const ExperimentConfig& c) { return c.topo.area == 0.0; }),
+      real("topo.range", FIELD(topo.range), kPositive, kAlways),
+      integer("topo.max_degree", FIELD(topo.max_degree), 0, kMaxU32, kOffDefault),
+      real("topo.grid_jitter", FIELD(topo.grid_jitter), kUnit,
+           [](const ExperimentConfig& c) {
+             return c.topo.generator == Gen::kJitterGrid;
+           }),
+      {"topo.rooms",  // "4x3" -> rooms_x = 4, rooms_y = 3
+       [](ExperimentConfig& c, std::string_view key, std::string_view v) {
+         const auto x = v.find('x');
+         if (x == std::string_view::npos) {
+           throw std::runtime_error{"config: " + std::string(key) +
+                                    " wants WxH, e.g. 4x3"};
+         }
+         const auto side = [&](std::string_view n) {
+           return static_cast<unsigned>(parse_uint_in(n, key, 1, kMaxU32));
+         };
+         c.topo.rooms_x = side(v.substr(0, x));
+         c.topo.rooms_y = side(v.substr(x + 1));
+       },
+       [](const ExperimentConfig& c, std::string_view name, std::string& out) {
+         const topo::TopoSpec& t = c.topo;
+         if (t.rooms_x == 0) return;
+         line(out, name, std::to_string(t.rooms_x) + "x" + std::to_string(t.rooms_y));
+       }},
+      real("topo.wall_loss_db", FIELD(topo.wall_loss_db), kNonNegative,
+           [](const ExperimentConfig& c) { return c.topo.generator == Gen::kFloorplan; }),
+      real("topo.tx_power_dbm", FIELD(topo.tx_power_dbm), kAnyReal, kOffDefault),
+      real("topo.path_loss_exp", FIELD(topo.path_loss_exp), kPositive, kOffDefault),
+      real("topo.sensitivity_dbm", FIELD(topo.sensitivity_dbm), kAnyReal, kOffDefault),
+      real("topo.fade_margin_db", FIELD(topo.fade_margin_db), kPositive, kOffDefault),
+      integer("topo.seed", FIELD(topo.seed), 0, kMaxU64, kOffDefault),
+
+      duration("duration", FIELD(duration), kAlways),
+      duration("producer_interval", FIELD(producer_interval), kAlways),
+      duration("producer_jitter", FIELD(producer_jitter), kAlways),
+      {"conn_interval",
+       [](ExperimentConfig& c, std::string_view, std::string_view v) {
+         c.policy = parse_policy(v);
+       },
+       [](const ExperimentConfig& c, std::string_view name, std::string& out) {
+         const core::IntervalPolicy& p = c.policy;
+         line(out, name,
+              p.is_randomized() ? p.lo().str() + ":" + p.hi().str() : p.target().str());
+       }},
+      duration("supervision_timeout", FIELD(supervision_timeout), kAlways),
+      integer("payload_len", FIELD(payload_len), 0, 65535, kAlways),
+      integer("seed", FIELD(seed), 0, kMaxU64, kAlways),
+      real("base_per", FIELD(base_per), kUnit, kAlways),
+      real("drift_ppm_range", FIELD(drift_ppm_range), kNonNegative, kAlways),
+      flag("jam_channel_22", FIELD(jam_channel_22), kAlways),
+      flag("exclude_channel_22", FIELD(exclude_channel_22), kAlways),
+      flag("adaptive_channel_map", FIELD(adaptive_channel_map), kAlways),
+      flag("confirmable_coap", FIELD(confirmable_coap), kAlways),
+      flag("param_update_mitigation", FIELD(param_update_mitigation), kAlways),
+      // Default-on: only the A/B control (arena = false) is worth a line.
+      flag("arena", FIELD(arena), kOffDefault),
+      choice("compression", FIELD(compression),
+             {{"uncompressed", net::CompressionMode::kUncompressed},
+              {"iphc", net::CompressionMode::kIphc}},
+             kAlways),
+      // The report prints bucket widths in whole seconds; 0 would divide by 0.
+      duration("metrics_bucket", FIELD(metrics_bucket), kAlways, Duration::sec(1)),
+      {"fault.",
+       [](ExperimentConfig& c, std::string_view key, std::string_view v) {
+         // "none"/"off" clears the slot so a campaign axis can sweep a fault away.
+         if (v == "none" || v == "off") c.faults.erase(std::string(key));
+         else c.faults[std::string(key)] = prefixed(fault::parse_fault_event)(v, key);
+       },
+       [](const ExperimentConfig& c, std::string_view, std::string& out) {
+         for (const auto& [key, ev] : c.faults) line(out, key, ev.str());
+       }},
+      real("chaos_rate", FIELD(chaos.rate_per_min), kNonNegative, kOffDefault),
+      {"chaos_kinds",
+       [](ExperimentConfig& c, std::string_view key, std::string_view v) {
+         c.chaos.kinds = prefixed(fault::parse_kind_list)(v, key);
+       },
+       [](const ExperimentConfig& c, std::string_view name, std::string& out) {
+         if (!c.chaos.enabled() || c.chaos.kinds.empty()) return;
+         line(out, name, fault::render_kind_list(c.chaos.kinds));
+       }},
+      duration("reconnect_backoff_base", FIELD(reconnect_backoff_base), kAlways),
+      duration("reconnect_backoff_max", FIELD(reconnect_backoff_max), kAlways),
+      duration("reconnect_backoff_jitter", FIELD(reconnect_backoff_jitter), kAlways),
+
+      // Flow-control, mesh, energy and trace knobs render only off their
+      // defaults, keeping legacy configs byte-stable. The preset is a macro:
+      // it renders through the keys it sets.
+      {"flow.preset", apply_flow_preset, nullptr},
+      choice("flow.l2cap_credits", FIELD(l2cap_deferred_credits),
+             {{"immediate", false}, {"deferred", true}}, kOffDefault),
+      integer("flow.initial_credits", FIELD(l2cap_initial_credits), 1, 65535,
+              kOffDefault),
+      integer("flow.credit_batch", FIELD(l2cap_credit_batch), 1, 65535, kOffDefault),
+      integer("flow.txq_frames", FIELD(flow.txq_frames), 0, 1 << 20, kOffDefault),
+      flag("flow.backoff", FIELD(flow.backoff), kOffDefault),
+      duration("flow.backoff_base", FIELD(flow.backoff_base), kOffDefault),
+      duration("flow.backoff_max", FIELD(flow.backoff_max), kOffDefault),
+      duration("flow.backoff_jitter", FIELD(flow.backoff_jitter), kOffDefault),
+      flag("flow.breaker", FIELD(flow.breaker), kOffDefault),
+      integer("flow.breaker_threshold", FIELD(flow.breaker_threshold), 1, 1 << 20,
+              kOffDefault),
+      duration("flow.breaker_open", FIELD(flow.breaker_open), kOffDefault),
+      integer("flow.breaker_probes", FIELD(flow.breaker_probes), 1, 1 << 20, kOffDefault),
+      integer("flow.congest_on_pct", FIELD(flow.congest_on_pct), 1, 100, kOffDefault),
+      integer("flow.congest_off_pct", FIELD(flow.congest_off_pct), 0, 100, kOffDefault),
+      choice("cc.mode", FIELD(cc.mode),
+             {{"fixed", app::CoapCcConfig::Mode::kFixedRto},
+              {"cocoa", app::CoapCcConfig::Mode::kCocoa}},
+             kOffDefault),
+      integer("cc.nstart", FIELD(cc.nstart), 0, 1 << 16, kOffDefault),
+      integer("mesh.ttl", FIELD(mesh.ttl), 1, 127, kOffDefault),
+      real("mesh.relay_density", FIELD(mesh.relay_density), kUnit, kOffDefault),
+      integer("mesh.cache_entries", FIELD(mesh.cache_entries), 4, 65536, kOffDefault),
+      integer("mesh.transmit_count", FIELD(mesh.transmit_count), 1, 8, kOffDefault),
+      duration("mesh.adv_interval", FIELD(mesh.adv_interval), kOffDefault,
+               Duration::ms(5), Duration::sec(10)),
+      // 0 (or "off") disables heartbeat publication.
+      field("mesh.heartbeat_period", FIELD(mesh.heartbeat_period),
+            [](std::string_view v, std::string_view key) {
+              if (v == "off" || v == "0") return Duration{};
+              return parse_duration_in(v, key, {}, kForever);
+            },
+            render_duration, kOffDefault),
+      integer("mesh.queue_cap", FIELD(mesh.queue_cap), 4, 4096, kOffDefault),
+      integer("mesh.reasm_entries", FIELD(mesh.reasm_entries), 1, 256, kOffDefault),
+      real("mesh.scan_duty", FIELD(mesh.scan_duty), {0.0, 1.0, true}, kOffDefault),
+      flag("energy.account", FIELD(energy_account), kOffDefault),
+      path("trace.file", FIELD(trace_file)),
+      path("trace.pcap", FIELD(trace_pcap)),
+      field("trace.categories", FIELD(trace_categories),
+            prefixed(sim::parse_trace_cat_mask), sim::render_trace_cat_mask, kOffDefault),
+  };
+  return table;
+}
+
+#undef FIELD
+
+}  // namespace
 
 std::string_view trim(std::string_view s) {
   while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
@@ -23,318 +471,20 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-std::optional<double> parse_number(std::string_view s) {
-  double v{};
-  const auto* end = s.data() + s.size();
-  const auto res = std::from_chars(s.data(), end, v);
-  if (res.ec != std::errc{} || res.ptr != end) return std::nullopt;
-  return v;
-}
-
-bool parse_bool(std::string_view v, const std::string& key) {
-  if (v == "true" || v == "yes" || v == "1") return true;
-  if (v == "false" || v == "no" || v == "0") return false;
-  throw std::runtime_error{"config: bad boolean for '" + key + "'"};
-}
-
-/// "65:85ms" or "65ms:85ms" -> randomized policy; plain duration -> fixed.
-core::IntervalPolicy parse_policy(std::string_view v) {
-  const auto colon = v.find(':');
-  if (colon == std::string_view::npos) {
-    const auto d = parse_duration(v);
-    if (!d) throw std::runtime_error{"config: bad conn_interval"};
-    return core::IntervalPolicy::fixed(*d);
+void apply_experiment_kv(ExperimentConfig& cfg, std::string_view key,
+                         std::string_view value) {
+  for (const Key& k : keys()) {
+    if (k.name.ends_with('.') ? key.starts_with(k.name) : key == k.name) {
+      k.parse(cfg, key, value);
+      return;
+    }
   }
-  std::string_view lo_s = trim(v.substr(0, colon));
-  std::string_view hi_s = trim(v.substr(colon + 1));
-  // Allow the shorthand "65:85ms" (unit only on the upper bound).
-  auto hi = parse_duration(hi_s);
-  if (!hi) throw std::runtime_error{"config: bad conn_interval window"};
-  auto lo = parse_duration(lo_s);
-  if (!lo) {
-    const auto num = parse_number(lo_s);
-    if (!num) throw std::runtime_error{"config: bad conn_interval window"};
-    // Reuse the unit of the upper bound.
-    const auto unit_pos = hi_s.find_first_not_of("0123456789.");
-    lo = parse_duration(std::string(lo_s) + std::string(hi_s.substr(unit_pos)));
-    if (!lo) throw std::runtime_error{"config: bad conn_interval window"};
-  }
-  return core::IntervalPolicy::randomized(*lo, *hi);
+  throw std::runtime_error{"config: unknown key '" + std::string(key) + "'"};
 }
 
-/// Strictly parses an integer in [lo, hi]; throws "config: bad <key>"
-/// deterministically on anything else (fractions, ranges, garbage).
-std::uint64_t parse_uint_in(std::string_view v, const std::string& key,
-                            std::uint64_t lo, std::uint64_t hi) {
-  const auto n = parse_number(v);
-  if (!n || *n < 0.0 || *n != static_cast<double>(static_cast<std::uint64_t>(*n))) {
-    throw std::runtime_error{"config: bad " + key};
-  }
-  const auto u = static_cast<std::uint64_t>(*n);
-  if (u < lo || u > hi) {
-    throw std::runtime_error{"config: " + key + " out of range [" +
-                             std::to_string(lo) + ", " + std::to_string(hi) + "]"};
-  }
-  return u;
-}
-
-sim::Duration parse_duration_or_throw(std::string_view v, const std::string& key) {
-  const auto d = parse_duration(v);
-  if (!d || d->is_negative()) throw std::runtime_error{"config: bad " + key};
-  return *d;
-}
-
-/// flow.preset macro: switches whole tiers of the overload-survival stack on.
-/// Overwrites the individual flow.*/cc.* knobs it covers; keys sorting after
-/// "flow.preset" still win (config maps apply in alphabetical order).
-void apply_flow_preset(ExperimentConfig& cfg, const std::string& value) {
-  const bool link = value == "link" || value == "all";
-  const bool netif = value == "netif" || value == "all";
-  const bool app = value == "app" || value == "all";
-  if (!link && !netif && !app && value != "off") {
-    throw std::runtime_error{"config: unknown flow.preset '" + value +
-                             "' (off|link|netif|app|all)"};
-  }
-  cfg.l2cap_deferred_credits = link;
-  cfg.flow.txq_frames = netif ? 16 : 0;
-  cfg.flow.backoff = netif;
-  cfg.flow.breaker = netif;
-  cfg.cc.mode = app ? app::CoapCcConfig::Mode::kCocoa : app::CoapCcConfig::Mode::kFixedRto;
-  // NSTART 16 rather than the RFC 7252 default of 1: multi-hop BLE RTT is
-  // connection-interval bound (~200 ms over three hops at 75 ms), so a
-  // single outstanding exchange caps goodput far below link capacity. The
-  // preset picks a window that fills the latency-bandwidth product; set
-  // cc.nstart explicitly to override.
-  cfg.cc.nstart = app ? 16 : 0;
-}
-
-Topology parse_topology(std::string_view v) {
-  if (v == "tree15" || v == "tree") return Topology::tree15();
-  if (v == "line15" || v == "line") return Topology::line15();
-  if (v.rfind("star", 0) == 0) {
-    const auto n = parse_number(v.substr(4));
-    if (!n || *n < 2) throw std::runtime_error{"config: bad star topology size"};
-    return Topology::star(static_cast<unsigned>(*n));
-  }
-  throw std::runtime_error{"config: unknown topology '" + std::string(v) + "'"};
-}
-
-}  // namespace
-
-std::optional<sim::Duration> parse_duration(std::string_view text) {
-  return sim::parse_duration(text);
-}
-
-void apply_experiment_kv(ExperimentConfig& cfg, const std::string& key,
-                         const std::string& value) {
-  if (key == "radio") {
-    // Legacy spelling, limited to the original two radios; `link.backend`
-    // below is the superset.
-    if (value == "ble") cfg.radio = ExperimentConfig::Radio::kBle;
-    else if (value == "802154" || value == "ieee802154")
-      cfg.radio = ExperimentConfig::Radio::kIeee802154;
-    else throw std::runtime_error{"config: unknown radio '" + value + "'"};
-  } else if (key == "link.backend") {
-    cfg.radio = core::parse_link_backend_kind(value);
-  } else if (key == "topology") {
-    cfg.topology = parse_topology(value);
-  } else if (key == "duration") {
-    const auto d = parse_duration(value);
-    if (!d) throw std::runtime_error{"config: bad duration"};
-    cfg.duration = *d;
-  } else if (key == "producer_interval") {
-    const auto d = parse_duration(value);
-    if (!d) throw std::runtime_error{"config: bad producer_interval"};
-    cfg.producer_interval = *d;
-  } else if (key == "producer_jitter") {
-    const auto d = parse_duration(value);
-    if (!d) throw std::runtime_error{"config: bad producer_jitter"};
-    cfg.producer_jitter = *d;
-  } else if (key == "conn_interval") {
-    cfg.policy = parse_policy(value);
-  } else if (key == "supervision_timeout") {
-    const auto d = parse_duration(value);
-    if (!d) throw std::runtime_error{"config: bad supervision_timeout"};
-    cfg.supervision_timeout = *d;
-  } else if (key == "payload_len") {
-    const auto n = parse_number(value);
-    if (!n) throw std::runtime_error{"config: bad payload_len"};
-    cfg.payload_len = static_cast<std::size_t>(*n);
-  } else if (key == "seed") {
-    const auto n = parse_number(value);
-    if (!n) throw std::runtime_error{"config: bad seed"};
-    cfg.seed = static_cast<std::uint64_t>(*n);
-  } else if (key == "base_per") {
-    const auto n = parse_number(value);
-    if (!n) throw std::runtime_error{"config: bad base_per"};
-    cfg.base_per = *n;
-  } else if (key == "drift_ppm_range") {
-    const auto n = parse_number(value);
-    if (!n) throw std::runtime_error{"config: bad drift_ppm_range"};
-    cfg.drift_ppm_range = *n;
-  } else if (key == "jam_channel_22") {
-    cfg.jam_channel_22 = parse_bool(value, key);
-  } else if (key == "exclude_channel_22") {
-    cfg.exclude_channel_22 = parse_bool(value, key);
-  } else if (key == "adaptive_channel_map") {
-    cfg.adaptive_channel_map = parse_bool(value, key);
-  } else if (key == "confirmable_coap") {
-    cfg.confirmable_coap = parse_bool(value, key);
-  } else if (key == "param_update_mitigation") {
-    cfg.param_update_mitigation = parse_bool(value, key);
-  } else if (key == "arena") {
-    cfg.arena = parse_bool(value, key);
-  } else if (key == "compression") {
-    if (value == "uncompressed") cfg.compression = net::CompressionMode::kUncompressed;
-    else if (value == "iphc") cfg.compression = net::CompressionMode::kIphc;
-    else throw std::runtime_error{"config: unknown compression '" + value + "'"};
-  } else if (key == "metrics_bucket") {
-    const auto d = parse_duration(value);
-    if (!d) throw std::runtime_error{"config: bad metrics_bucket"};
-    cfg.metrics_bucket = *d;
-  } else if (key.rfind("fault.", 0) == 0) {
-    // "none"/"off" clears the slot so a campaign axis can sweep a fault away.
-    if (value == "none" || value == "off") {
-      cfg.faults.erase(key);
-    } else {
-      try {
-        cfg.faults[key] = fault::parse_fault_event(value);
-      } catch (const std::exception& e) {
-        throw std::runtime_error{"config: '" + key + "': " + e.what()};
-      }
-    }
-  } else if (key == "chaos_rate") {
-    const auto n = parse_number(value);
-    if (!n || *n < 0.0) throw std::runtime_error{"config: bad chaos_rate"};
-    cfg.chaos.rate_per_min = *n;
-  } else if (key == "chaos_kinds") {
-    try {
-      cfg.chaos.kinds = fault::parse_kind_list(value);
-    } catch (const std::exception& e) {
-      throw std::runtime_error{"config: chaos_kinds: " + std::string(e.what())};
-    }
-  } else if (key == "reconnect_backoff_base") {
-    const auto d = parse_duration(value);
-    if (!d) throw std::runtime_error{"config: bad reconnect_backoff_base"};
-    cfg.reconnect_backoff_base = *d;
-  } else if (key == "reconnect_backoff_max") {
-    const auto d = parse_duration(value);
-    if (!d) throw std::runtime_error{"config: bad reconnect_backoff_max"};
-    cfg.reconnect_backoff_max = *d;
-  } else if (key == "reconnect_backoff_jitter") {
-    const auto d = parse_duration(value);
-    if (!d) throw std::runtime_error{"config: bad reconnect_backoff_jitter"};
-    cfg.reconnect_backoff_jitter = *d;
-  } else if (key == "flow.preset") {
-    apply_flow_preset(cfg, value);
-  } else if (key == "flow.l2cap_credits") {
-    if (value == "deferred") cfg.l2cap_deferred_credits = true;
-    else if (value == "immediate") cfg.l2cap_deferred_credits = false;
-    else {
-      throw std::runtime_error{"config: unknown flow.l2cap_credits '" + value +
-                               "' (immediate|deferred)"};
-    }
-  } else if (key == "flow.initial_credits") {
-    cfg.l2cap_initial_credits =
-        static_cast<std::uint16_t>(parse_uint_in(value, key, 1, 65535));
-  } else if (key == "flow.credit_batch") {
-    cfg.l2cap_credit_batch =
-        static_cast<std::uint16_t>(parse_uint_in(value, key, 1, 65535));
-  } else if (key == "flow.txq_frames") {
-    cfg.flow.txq_frames = static_cast<std::size_t>(parse_uint_in(value, key, 0, 1 << 20));
-  } else if (key == "flow.backoff") {
-    cfg.flow.backoff = parse_bool(value, key);
-  } else if (key == "flow.backoff_base") {
-    cfg.flow.backoff_base = parse_duration_or_throw(value, key);
-  } else if (key == "flow.backoff_max") {
-    cfg.flow.backoff_max = parse_duration_or_throw(value, key);
-  } else if (key == "flow.backoff_jitter") {
-    cfg.flow.backoff_jitter = parse_duration_or_throw(value, key);
-  } else if (key == "flow.breaker") {
-    cfg.flow.breaker = parse_bool(value, key);
-  } else if (key == "flow.breaker_threshold") {
-    cfg.flow.breaker_threshold = static_cast<unsigned>(parse_uint_in(value, key, 1, 1 << 20));
-  } else if (key == "flow.breaker_open") {
-    cfg.flow.breaker_open = parse_duration_or_throw(value, key);
-  } else if (key == "flow.breaker_probes") {
-    cfg.flow.breaker_probes = static_cast<unsigned>(parse_uint_in(value, key, 1, 1 << 20));
-  } else if (key == "flow.congest_on_pct") {
-    cfg.flow.congest_on_pct = static_cast<unsigned>(parse_uint_in(value, key, 1, 100));
-  } else if (key == "flow.congest_off_pct") {
-    cfg.flow.congest_off_pct = static_cast<unsigned>(parse_uint_in(value, key, 0, 100));
-  } else if (key == "cc.mode") {
-    if (value == "cocoa") cfg.cc.mode = app::CoapCcConfig::Mode::kCocoa;
-    else if (value == "fixed") cfg.cc.mode = app::CoapCcConfig::Mode::kFixedRto;
-    else throw std::runtime_error{"config: unknown cc.mode '" + value + "' (fixed|cocoa)"};
-  } else if (key == "cc.nstart") {
-    cfg.cc.nstart = static_cast<unsigned>(parse_uint_in(value, key, 0, 1 << 16));
-  } else if (key == "mesh.ttl") {
-    cfg.mesh.ttl = static_cast<std::uint32_t>(parse_uint_in(value, key, 1, 127));
-  } else if (key == "mesh.relay_density") {
-    const auto n = parse_number(value);
-    if (!n) throw std::runtime_error{"config: bad " + key};
-    if (*n < 0.0 || *n > 1.0) {
-      throw std::runtime_error{"config: " + key + " out of range [0, 1]"};
-    }
-    cfg.mesh.relay_density = *n;
-  } else if (key == "mesh.cache_entries") {
-    cfg.mesh.cache_entries =
-        static_cast<std::uint32_t>(parse_uint_in(value, key, 4, 65536));
-  } else if (key == "mesh.transmit_count") {
-    cfg.mesh.transmit_count =
-        static_cast<std::uint32_t>(parse_uint_in(value, key, 1, 8));
-  } else if (key == "mesh.adv_interval") {
-    const sim::Duration d = parse_duration_or_throw(value, key);
-    if (d < sim::Duration::ms(5) || d > sim::Duration::sec(10)) {
-      throw std::runtime_error{"config: " + key + " out of range [5ms, 10s]"};
-    }
-    cfg.mesh.adv_interval = d;
-  } else if (key == "mesh.heartbeat_period") {
-    // 0 (or "off") disables heartbeat publication.
-    cfg.mesh.heartbeat_period =
-        (value == "off" || value == "0") ? sim::Duration{}
-                                         : parse_duration_or_throw(value, key);
-  } else if (key == "mesh.queue_cap") {
-    cfg.mesh.queue_cap =
-        static_cast<std::uint32_t>(parse_uint_in(value, key, 4, 4096));
-  } else if (key == "mesh.reasm_entries") {
-    cfg.mesh.reasm_entries =
-        static_cast<std::uint32_t>(parse_uint_in(value, key, 1, 256));
-  } else if (key == "mesh.scan_duty") {
-    const auto n = parse_number(value);
-    if (!n) throw std::runtime_error{"config: bad " + key};
-    if (*n <= 0.0 || *n > 1.0) {
-      throw std::runtime_error{"config: " + key + " out of range (0, 1]"};
-    }
-    cfg.mesh.scan_duty = *n;
-  } else if (key == "energy.account") {
-    cfg.energy_account = parse_bool(value, key);
-  } else if (key == "trace.file") {
-    // "none"/"off" clears the sink so a campaign axis can disable tracing.
-    cfg.trace_file = (value == "none" || value == "off") ? std::string{} : value;
-  } else if (key == "trace.pcap") {
-    cfg.trace_pcap = (value == "none" || value == "off") ? std::string{} : value;
-  } else if (key == "trace.categories") {
-    try {
-      cfg.trace_categories = sim::parse_trace_cat_mask(value);
-    } catch (const std::exception& e) {
-      throw std::runtime_error{"config: trace.categories: " + std::string(e.what())};
-    }
-  } else if (key.rfind("topo.", 0) == 0) {
-    try {
-      topo::apply_topo_kv(cfg.topo, key, value);
-    } catch (const std::exception& e) {
-      throw std::runtime_error{"config: " + std::string(e.what())};
-    }
-  } else {
-    throw std::runtime_error{"config: unknown key '" + key + "'"};
-  }
-}
-
-ExperimentConfig parse_experiment_config(std::string_view text) {
-  ExperimentConfig cfg;
-  std::map<std::string, std::string> kv;
-
+void read_config_lines(
+    std::string_view text, std::string_view what,
+    const std::function<void(std::size_t, std::string_view, std::string_view)>& on_kv) {
   std::size_t line_no = 0;
   std::size_t pos = 0;
   while (pos <= text.size()) {
@@ -351,12 +501,21 @@ ExperimentConfig parse_experiment_config(std::string_view text) {
     if (line.empty()) continue;
     const auto eq = line.find('=');
     if (eq == std::string_view::npos) {
-      throw std::runtime_error{"config line " + std::to_string(line_no) +
+      throw std::runtime_error{std::string(what) + " line " + std::to_string(line_no) +
                                ": expected key = value"};
     }
-    kv[std::string(trim(line.substr(0, eq)))] = std::string(trim(line.substr(eq + 1)));
+    on_kv(line_no, trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
   }
+}
 
+ExperimentConfig parse_experiment_config(std::string_view text) {
+  std::map<std::string, std::string> kv;
+  read_config_lines(text, "config",
+                    [&kv](std::size_t, std::string_view key, std::string_view value) {
+                      kv[std::string(key)] = std::string(value);
+                    });
+
+  ExperimentConfig cfg;
   for (const auto& [key, value] : kv) apply_experiment_kv(cfg, key, value);
   if (cfg.flow.congest_off_pct > cfg.flow.congest_on_pct) {
     throw std::runtime_error{
@@ -385,152 +544,19 @@ ExperimentConfig load_experiment_config(const std::string& path) {
 }
 
 std::string render_experiment_config(const ExperimentConfig& config) {
-  std::ostringstream out;
-  // The two original radios keep their legacy line (byte-stable renders);
-  // the newer backends use the superset key.
-  if (config.radio == ExperimentConfig::Radio::kBle ||
-      config.radio == ExperimentConfig::Radio::kIeee802154) {
-    out << "radio = "
-        << (config.radio == ExperimentConfig::Radio::kBle ? "ble" : "ieee802154")
-        << "\n";
-  } else {
-    out << "link.backend = " << core::to_string(config.radio) << "\n";
+  std::string out;
+  for (const Key& k : keys()) {
+    // Without a generator the topo.* spec is inert and stays unrendered.
+    if (!k.render || (!config.topo.enabled() && k.name.starts_with("topo."))) continue;
+    k.render(config, k.name, out);
   }
-  if (config.topo.enabled()) {
-    // Generated worlds: the topo.* spec is the source of truth; a static
-    // "topology =" line would conflict with (and be overridden by) it.
-    out << topo::render_topo_spec(config.topo);
-  } else {
-    out << "topology = " << config.topology.name
-        << (config.topology.name == "star"
-                ? std::to_string(config.topology.nodes.size())
-                : std::string{"15"})
-        << "\n";
-  }
-  out << "duration = " << config.duration.str() << "\n";
-  out << "producer_interval = " << config.producer_interval.str() << "\n";
-  out << "producer_jitter = " << config.producer_jitter.str() << "\n";
-  if (config.policy.is_randomized()) {
-    out << "conn_interval = " << config.policy.lo().str() << ":"
-        << config.policy.hi().str() << "\n";
-  } else {
-    out << "conn_interval = " << config.policy.target().str() << "\n";
-  }
-  out << "supervision_timeout = " << config.supervision_timeout.str() << "\n";
-  out << "payload_len = " << config.payload_len << "\n";
-  out << "seed = " << config.seed << "\n";
-  out << "base_per = " << config.base_per << "\n";
-  out << "drift_ppm_range = " << config.drift_ppm_range << "\n";
-  out << "jam_channel_22 = " << (config.jam_channel_22 ? "true" : "false") << "\n";
-  out << "exclude_channel_22 = " << (config.exclude_channel_22 ? "true" : "false")
-      << "\n";
-  out << "adaptive_channel_map = " << (config.adaptive_channel_map ? "true" : "false")
-      << "\n";
-  out << "confirmable_coap = " << (config.confirmable_coap ? "true" : "false") << "\n";
-  out << "param_update_mitigation = "
-      << (config.param_update_mitigation ? "true" : "false") << "\n";
-  // Default-on: only the A/B control (arena = false) is worth a line.
-  if (!config.arena) out << "arena = false\n";
-  out << "compression = "
-      << (config.compression == net::CompressionMode::kIphc ? "iphc" : "uncompressed")
-      << "\n";
-  out << "metrics_bucket = " << config.metrics_bucket.str() << "\n";
-  for (const auto& [key, ev] : config.faults) {
-    out << key << " = " << ev.str() << "\n";
-  }
-  if (config.chaos.enabled()) {
-    out << "chaos_rate = " << config.chaos.rate_per_min << "\n";
-    if (!config.chaos.kinds.empty()) {
-      out << "chaos_kinds = " << fault::render_kind_list(config.chaos.kinds) << "\n";
-    }
-  }
-  out << "reconnect_backoff_base = " << config.reconnect_backoff_base.str() << "\n";
-  out << "reconnect_backoff_max = " << config.reconnect_backoff_max.str() << "\n";
-  out << "reconnect_backoff_jitter = " << config.reconnect_backoff_jitter.str()
-      << "\n";
-  // Flow-control knobs render only off their defaults, keeping legacy
-  // configs byte-stable (same rule as the trace keys below).
-  {
-    const net::FlowConfig defaults;
-    if (config.l2cap_deferred_credits) out << "flow.l2cap_credits = deferred\n";
-    if (config.l2cap_initial_credits != 30) {
-      out << "flow.initial_credits = " << config.l2cap_initial_credits << "\n";
-    }
-    if (config.l2cap_credit_batch != 8) {
-      out << "flow.credit_batch = " << config.l2cap_credit_batch << "\n";
-    }
-    if (config.flow.txq_frames != defaults.txq_frames) {
-      out << "flow.txq_frames = " << config.flow.txq_frames << "\n";
-    }
-    if (config.flow.backoff) out << "flow.backoff = true\n";
-    if (config.flow.backoff_base != defaults.backoff_base) {
-      out << "flow.backoff_base = " << config.flow.backoff_base.str() << "\n";
-    }
-    if (config.flow.backoff_max != defaults.backoff_max) {
-      out << "flow.backoff_max = " << config.flow.backoff_max.str() << "\n";
-    }
-    if (config.flow.backoff_jitter != defaults.backoff_jitter) {
-      out << "flow.backoff_jitter = " << config.flow.backoff_jitter.str() << "\n";
-    }
-    if (config.flow.breaker) out << "flow.breaker = true\n";
-    if (config.flow.breaker_threshold != defaults.breaker_threshold) {
-      out << "flow.breaker_threshold = " << config.flow.breaker_threshold << "\n";
-    }
-    if (config.flow.breaker_open != defaults.breaker_open) {
-      out << "flow.breaker_open = " << config.flow.breaker_open.str() << "\n";
-    }
-    if (config.flow.breaker_probes != defaults.breaker_probes) {
-      out << "flow.breaker_probes = " << config.flow.breaker_probes << "\n";
-    }
-    if (config.flow.congest_on_pct != defaults.congest_on_pct) {
-      out << "flow.congest_on_pct = " << config.flow.congest_on_pct << "\n";
-    }
-    if (config.flow.congest_off_pct != defaults.congest_off_pct) {
-      out << "flow.congest_off_pct = " << config.flow.congest_off_pct << "\n";
-    }
-    if (config.cc.mode == app::CoapCcConfig::Mode::kCocoa) out << "cc.mode = cocoa\n";
-    if (config.cc.nstart != 0) out << "cc.nstart = " << config.cc.nstart << "\n";
-  }
-  // Mesh knobs follow the same off-default-only rule.
-  {
-    const mesh::MeshConfig defaults;
-    if (config.mesh.ttl != defaults.ttl) {
-      out << "mesh.ttl = " << config.mesh.ttl << "\n";
-    }
-    if (config.mesh.relay_density != defaults.relay_density) {
-      out << "mesh.relay_density = " << config.mesh.relay_density << "\n";
-    }
-    if (config.mesh.cache_entries != defaults.cache_entries) {
-      out << "mesh.cache_entries = " << config.mesh.cache_entries << "\n";
-    }
-    if (config.mesh.transmit_count != defaults.transmit_count) {
-      out << "mesh.transmit_count = " << config.mesh.transmit_count << "\n";
-    }
-    if (config.mesh.adv_interval != defaults.adv_interval) {
-      out << "mesh.adv_interval = " << config.mesh.adv_interval.str() << "\n";
-    }
-    if (config.mesh.heartbeat_period != defaults.heartbeat_period) {
-      out << "mesh.heartbeat_period = " << config.mesh.heartbeat_period.str() << "\n";
-    }
-    if (config.mesh.queue_cap != defaults.queue_cap) {
-      out << "mesh.queue_cap = " << config.mesh.queue_cap << "\n";
-    }
-    if (config.mesh.reasm_entries != defaults.reasm_entries) {
-      out << "mesh.reasm_entries = " << config.mesh.reasm_entries << "\n";
-    }
-    if (config.mesh.scan_duty != defaults.scan_duty) {
-      out << "mesh.scan_duty = " << config.mesh.scan_duty << "\n";
-    }
-  }
-  if (config.energy_account) out << "energy.account = true\n";
-  // Trace keys render only when set, keeping untraced configs byte-stable.
-  if (!config.trace_file.empty()) out << "trace.file = " << config.trace_file << "\n";
-  if (!config.trace_pcap.empty()) out << "trace.pcap = " << config.trace_pcap << "\n";
-  if (config.trace_categories != sim::kAllTraceCats) {
-    out << "trace.categories = " << sim::render_trace_cat_mask(config.trace_categories)
-        << "\n";
-  }
-  return out.str();
+  return out;
+}
+
+std::vector<std::string_view> experiment_config_keys() {
+  std::vector<std::string_view> names;
+  for (const Key& k : keys()) names.push_back(k.name);
+  return names;
 }
 
 }  // namespace mgap::testbed

@@ -1,31 +1,9 @@
 #include "topo/spec.hpp"
 
-#include <charconv>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace mgap::topo {
-
-namespace {
-
-double parse_number(const std::string& value, const std::string& key) {
-  double v{};
-  const char* end = value.data() + value.size();
-  const auto res = std::from_chars(value.data(), end, v);
-  if (res.ec != std::errc{} || res.ptr != end) {
-    throw std::runtime_error{"config: bad number for '" + key + "'"};
-  }
-  return v;
-}
-
-double parse_positive(const std::string& value, const std::string& key) {
-  const double v = parse_number(value, key);
-  if (!(v > 0.0)) throw std::runtime_error{"config: '" + key + "' must be > 0"};
-  return v;
-}
-
-}  // namespace
 
 std::string TopoSpec::generator_name() const {
   switch (generator) {
@@ -67,90 +45,6 @@ void TopoSpec::validate() const {
   }
   if (wall_loss_db < 0.0) throw std::runtime_error{"topo: wall_loss_db must be >= 0"};
   if (!(path_loss_exp > 0.0)) throw std::runtime_error{"topo: path_loss_exp must be > 0"};
-}
-
-Generator parse_generator(const std::string& name) {
-  if (name == "none" || name == "off") return Generator::kNone;
-  if (name == "grid") return Generator::kGrid;
-  if (name == "jitter_grid") return Generator::kJitterGrid;
-  if (name == "rgg") return Generator::kRgg;
-  if (name == "floorplan") return Generator::kFloorplan;
-  throw std::runtime_error{"config: unknown topo.generator '" + name + "'"};
-}
-
-bool apply_topo_kv(TopoSpec& spec, const std::string& key, const std::string& value) {
-  if (key.rfind("topo.", 0) != 0) return false;
-  const std::string sub = key.substr(5);
-  if (sub == "generator") {
-    spec.generator = parse_generator(value);
-  } else if (sub == "nodes") {
-    const double n = parse_positive(value, key);
-    spec.nodes = static_cast<unsigned>(n);
-  } else if (sub == "area") {
-    const double v = parse_number(value, key);
-    if (v < 0.0) throw std::runtime_error{"config: 'topo.area' must be >= 0"};
-    spec.area = v;
-  } else if (sub == "density") {
-    spec.density = parse_positive(value, key);
-  } else if (sub == "range") {
-    spec.range = parse_positive(value, key);
-  } else if (sub == "max_degree") {
-    const double v = parse_number(value, key);
-    if (v < 0.0) throw std::runtime_error{"config: 'topo.max_degree' must be >= 0"};
-    spec.max_degree = static_cast<unsigned>(v);
-  } else if (sub == "grid_jitter") {
-    spec.grid_jitter = parse_number(value, key);
-  } else if (sub == "rooms") {
-    // "4x3" -> rooms_x = 4, rooms_y = 3.
-    const auto x = value.find('x');
-    if (x == std::string::npos) {
-      throw std::runtime_error{"config: 'topo.rooms' wants WxH, e.g. 4x3"};
-    }
-    spec.rooms_x = static_cast<unsigned>(parse_positive(value.substr(0, x), key));
-    spec.rooms_y = static_cast<unsigned>(parse_positive(value.substr(x + 1), key));
-  } else if (sub == "wall_loss_db") {
-    spec.wall_loss_db = parse_number(value, key);
-  } else if (sub == "tx_power_dbm") {
-    spec.tx_power_dbm = parse_number(value, key);
-  } else if (sub == "path_loss_exp") {
-    spec.path_loss_exp = parse_positive(value, key);
-  } else if (sub == "sensitivity_dbm") {
-    spec.sensitivity_dbm = parse_number(value, key);
-  } else if (sub == "fade_margin_db") {
-    spec.fade_margin_db = parse_positive(value, key);
-  } else if (sub == "seed") {
-    spec.seed = static_cast<std::uint64_t>(parse_number(value, key));
-  } else {
-    throw std::runtime_error{"config: unknown key '" + key + "'"};
-  }
-  return true;
-}
-
-std::string render_topo_spec(const TopoSpec& spec) {
-  if (!spec.enabled()) return {};
-  std::ostringstream out;
-  out << "topo.generator = " << spec.generator_name() << "\n";
-  out << "topo.nodes = " << spec.nodes << "\n";
-  if (spec.area > 0.0) {
-    out << "topo.area = " << spec.area << "\n";
-  } else {
-    out << "topo.density = " << spec.density << "\n";
-  }
-  out << "topo.range = " << spec.range << "\n";
-  if (spec.max_degree != TopoSpec{}.max_degree) {
-    out << "topo.max_degree = " << spec.max_degree << "\n";
-  }
-  if (spec.generator == Generator::kJitterGrid) {
-    out << "topo.grid_jitter = " << spec.grid_jitter << "\n";
-  }
-  if (spec.generator == Generator::kFloorplan) {
-    if (spec.rooms_x > 0) {
-      out << "topo.rooms = " << spec.rooms_x << "x" << spec.rooms_y << "\n";
-    }
-    out << "topo.wall_loss_db = " << spec.wall_loss_db << "\n";
-  }
-  if (spec.seed != 0) out << "topo.seed = " << spec.seed << "\n";
-  return out.str();
 }
 
 }  // namespace mgap::topo

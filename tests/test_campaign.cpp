@@ -212,7 +212,7 @@ TEST(Runner, CellsMatchStandaloneExperiments) {
 
 // The thread-safety audit: two Experiment instances on different threads
 // share no mutable state (per-instance Simulator, RNG streams, Metrics,
-// worlds; no globals; the Tracer sink is opt-in and not installed), so
+// worlds; no globals; trace sinks are per-Experiment), so
 // concurrent runs must reproduce serial runs bit-exactly. CI additionally
 // builds this test under -fsanitize=thread.
 TEST(ThreadSafety, ConcurrentExperimentsMatchSerialRuns) {

@@ -2,27 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
+#include <set>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "campaign/spec.hpp"
+#include "check/property.hpp"
 #include "testbed/config_file.hpp"
 
 namespace mgap::testbed {
 namespace {
 
 TEST(ParseDuration, Units) {
-  EXPECT_EQ(parse_duration("150us"), sim::Duration::us(150));
-  EXPECT_EQ(parse_duration("75ms"), sim::Duration::ms(75));
-  EXPECT_EQ(parse_duration("1.25ms"), sim::Duration::us(1250));
-  EXPECT_EQ(parse_duration("2s"), sim::Duration::sec(2));
-  EXPECT_EQ(parse_duration("30m"), sim::Duration::minutes(30));
-  EXPECT_EQ(parse_duration("24h"), sim::Duration::hours(24));
-  EXPECT_EQ(parse_duration(" 10ms "), sim::Duration::ms(10));
+  EXPECT_EQ(sim::parse_duration("150us"), sim::Duration::us(150));
+  EXPECT_EQ(sim::parse_duration("75ms"), sim::Duration::ms(75));
+  EXPECT_EQ(sim::parse_duration("1.25ms"), sim::Duration::us(1250));
+  EXPECT_EQ(sim::parse_duration("2s"), sim::Duration::sec(2));
+  EXPECT_EQ(sim::parse_duration("30m"), sim::Duration::minutes(30));
+  EXPECT_EQ(sim::parse_duration("24h"), sim::Duration::hours(24));
+  EXPECT_EQ(sim::parse_duration(" 10ms "), sim::Duration::ms(10));
 }
 
 TEST(ParseDuration, RejectsGarbage) {
-  EXPECT_FALSE(parse_duration("").has_value());
-  EXPECT_FALSE(parse_duration("ms").has_value());
-  EXPECT_FALSE(parse_duration("10").has_value());
-  EXPECT_FALSE(parse_duration("10xs").has_value());
-  EXPECT_FALSE(parse_duration("ten ms").has_value());
+  EXPECT_FALSE(sim::parse_duration("").has_value());
+  EXPECT_FALSE(sim::parse_duration("ms").has_value());
+  EXPECT_FALSE(sim::parse_duration("10").has_value());
+  EXPECT_FALSE(sim::parse_duration("10xs").has_value());
+  EXPECT_FALSE(sim::parse_duration("ten ms").has_value());
 }
 
 TEST(ConfigFile, ParsesFullDescription) {
@@ -104,6 +113,18 @@ TEST(ConfigFile, RejectsUnknownKeyAndBadValues) {
                std::runtime_error);
   expect_config_error("sim.threads = 2", "config: unknown key 'sim.threads'");
   expect_config_error("sim.window = 250us", "config: unknown key 'sim.window'");
+  // Values that used to crash or silently corrupt a run.
+  expect_config_error("metrics_bucket = 0s", "config: metrics_bucket must be >= 1s");
+  expect_config_error("duration = -5s", "config: bad duration");
+  expect_config_error("supervision_timeout = -1s", "config: bad supervision_timeout");
+  expect_config_error("payload_len = -5", "config: bad payload_len");
+  expect_config_error("payload_len = 2.7", "config: bad payload_len");
+  expect_config_error("seed = -1", "config: bad seed");
+  expect_config_error("seed = 1e30", "config: bad seed");
+  expect_config_error("topo.seed = -3", "config: bad topo.seed");
+  expect_config_error("topo.nodes = 50.7", "config: bad topo.nodes");
+  expect_config_error("topo.max_degree = 2.5", "config: bad topo.max_degree");
+  expect_config_error("conn_interval = 50:10ms", "config: bad conn_interval window");
 }
 
 TEST(ConfigFile, DefaultsMatchExperimentDefaults) {
@@ -254,23 +275,158 @@ TEST(ConfigFile, FlowKeysRenderAndParseBack) {
 }
 
 TEST(ConfigFile, ShippedSampleConfigsParse) {
-  for (const char* path :
-       {"examples/experiments/fig7_tree.conf", "examples/experiments/fig10_802154.conf",
-        "examples/experiments/fig13_random_tree.conf",
-        "examples/experiments/highload_afh.conf"}) {
-    // The test runs from the build tree; try both relative locations.
-    try {
-      (void)load_experiment_config(std::string("../") + path);
-    } catch (const std::runtime_error&) {
-      try {
-        (void)load_experiment_config(path);
-      } catch (const std::runtime_error& e) {
-        // File not reachable from this working directory: skip quietly, the
-        // parse paths themselves are covered above.
-        GTEST_SKIP() << e.what();
-      }
+  const std::filesystem::path dir =
+      std::filesystem::path{MGAP_SOURCE_DIR} / "examples" / "experiments";
+  std::size_t confs = 0;
+  std::size_t campaigns = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::filesystem::path& path = entry.path();
+    SCOPED_TRACE(path.string());
+    if (path.extension() == ".conf") {
+      const std::string rendered =
+          render_experiment_config(load_experiment_config(path.string()));
+      EXPECT_EQ(render_experiment_config(parse_experiment_config(rendered)), rendered);
+      ++confs;
+    } else if (path.extension() == ".campaign") {
+      const campaign::CampaignSpec spec = campaign::load_campaign_spec(path.string());
+      EXPECT_FALSE(campaign::expand_grid(spec).empty());
+      ++campaigns;
     }
   }
+  EXPECT_GE(confs, 4u);
+  EXPECT_GE(campaigns, 7u);
+}
+
+// --- the key table round-trips ----------------------------------------------
+
+/// Sample values per table key, each written in its rendered (canonical)
+/// form. Keys that render only off their default list only off-default
+/// values, so every drawn key must show up verbatim in the render.
+const std::map<std::string_view, std::vector<std::string_view>>& samples() {
+  static const std::map<std::string_view, std::vector<std::string_view>> table = {
+      {"radio", {"ble", "ieee802154"}},
+      {"link.backend", {"mesh", "adv"}},
+      {"topology", {"tree15", "line15", "star8"}},
+      {"topo.generator", {"grid", "jitter_grid", "rgg", "floorplan"}},
+      {"topo.nodes", {"2", "50"}},
+      {"topo.area", {"25", "12.5"}},
+      {"topo.density", {"3", "8.123456789"}},
+      {"topo.range", {"10", "7.25"}},
+      {"topo.max_degree", {"0", "2", "12"}},
+      {"topo.grid_jitter", {"0", "0.55"}},
+      {"topo.rooms", {"4x3", "1x1"}},
+      {"topo.wall_loss_db", {"0", "9.5"}},
+      {"topo.tx_power_dbm", {"4", "-3.5"}},
+      {"topo.path_loss_exp", {"3.1", "1.7"}},
+      {"topo.sensitivity_dbm", {"-90", "-97.25"}},
+      {"topo.fade_margin_db", {"6", "0.5"}},
+      {"topo.seed", {"3", "18446744073709551615"}},
+      {"duration", {"0s", "7200s", "1500ms"}},
+      {"producer_interval", {"1s", "250ms"}},
+      {"producer_jitter", {"0s", "500ms"}},
+      {"conn_interval", {"75ms", "65ms:85ms", "7500us"}},
+      {"supervision_timeout", {"0s", "4s"}},
+      {"payload_len", {"0", "39", "65535"}},
+      {"seed", {"0", "18446744073709551615"}},
+      {"base_per", {"0", "1", "0.123456789"}},
+      {"drift_ppm_range", {"0", "12.5"}},
+      {"jam_channel_22", {"true", "false"}},
+      {"exclude_channel_22", {"true", "false"}},
+      {"adaptive_channel_map", {"true", "false"}},
+      {"confirmable_coap", {"true", "false"}},
+      {"param_update_mitigation", {"true", "false"}},
+      {"arena", {"false"}},
+      {"compression", {"uncompressed", "iphc"}},
+      {"metrics_bucket", {"1s", "600s"}},
+      {"fault.", {"crash node=3 at=10s", "blackout link=1-2 at=5s for=30s"}},
+      {"chaos_rate", {"0.5", "2"}},
+      {"chaos_kinds", {"crash", "crash+blackout"}},
+      {"reconnect_backoff_base", {"10ms", "1s"}},
+      {"reconnect_backoff_max", {"640ms", "2s"}},
+      {"reconnect_backoff_jitter", {"0s", "20ms"}},
+      {"flow.preset", {"off", "link", "netif", "app", "all"}},
+      {"flow.l2cap_credits", {"deferred"}},
+      {"flow.initial_credits", {"1", "65535"}},
+      {"flow.credit_batch", {"1", "4"}},
+      {"flow.txq_frames", {"16", "1048576"}},
+      {"flow.backoff", {"true"}},
+      {"flow.backoff_base", {"0s", "5ms", "100ms"}},
+      {"flow.backoff_max", {"1s", "5s"}},
+      {"flow.backoff_jitter", {"0s", "50ms"}},
+      {"flow.breaker", {"true"}},
+      {"flow.breaker_threshold", {"1", "4"}},
+      {"flow.breaker_open", {"250ms"}},
+      {"flow.breaker_probes", {"1", "5"}},
+      {"flow.congest_on_pct", {"80", "100"}},
+      {"flow.congest_off_pct", {"0", "40"}},
+      {"cc.mode", {"cocoa"}},
+      {"cc.nstart", {"1", "65536"}},
+      {"mesh.ttl", {"1", "127"}},
+      {"mesh.relay_density", {"0", "0.25"}},
+      {"mesh.cache_entries", {"4", "65536"}},
+      {"mesh.transmit_count", {"2", "8"}},
+      {"mesh.adv_interval", {"5ms", "10s"}},
+      {"mesh.heartbeat_period", {"2s"}},
+      {"mesh.queue_cap", {"4", "4096"}},
+      {"mesh.reasm_entries", {"1", "256"}},
+      {"mesh.scan_duty", {"0.5", "0.123456789"}},
+      {"energy.account", {"true"}},
+      {"trace.file", {"run.mgt"}},
+      {"trace.pcap", {"run.pcapng"}},
+      {"trace.categories", {"ll,net", "fault"}},
+  };
+  return table;
+}
+
+/// True when `key`'s own line is legitimately absent from the render because
+/// another drawn key decides it (parse order is alphabetical).
+bool decided_elsewhere(const std::string& key,
+                       const std::map<std::string, std::string>& drawn) {
+  static const std::set<std::string> preset_covers = {
+      "cc.mode", "cc.nstart", "flow.backoff", "flow.breaker", "flow.l2cap_credits"};
+  if (key == "flow.preset") return true;  // a macro: renders through the keys it sets
+  if (drawn.contains("flow.preset") && preset_covers.contains(key)) return true;
+  if (key == "link.backend" && drawn.contains("radio")) return true;
+  return key == "topology" && drawn.contains("topo.generator");
+}
+
+TEST(ConfigFile, RenderIsAFixedPointAndKeepsEveryKey) {
+  const std::vector<std::string_view> names = experiment_config_keys();
+  for (const std::string_view name : names) {
+    ASSERT_TRUE(samples().contains(name)) << "no sample values for '" << name << "'";
+  }
+  const auto property = [&](check::Gen& g) {
+    std::map<std::string, std::string> drawn;  // file order is irrelevant
+    for (const std::string_view name : names) {
+      if (!g.boolean(0.3)) continue;
+      std::string key{name};
+      if (name.ends_with('.')) key += "0";  // one member of a prefix family
+      drawn[key] = std::string(g.pick(samples().at(name)));
+    }
+    // topo.* keys describe a generated world, chaos_kinds a chaos process.
+    const auto topo_key = drawn.lower_bound("topo.");
+    if (topo_key != drawn.end() && topo_key->first.starts_with("topo.") &&
+        !drawn.contains("topo.generator")) {
+      drawn["topo.generator"] = g.pick(samples().at("topo.generator"));
+    }
+    if (drawn.contains("chaos_kinds") && !drawn.contains("chaos_rate")) {
+      drawn["chaos_rate"] = g.pick(samples().at("chaos_rate"));
+    }
+
+    std::string text;
+    for (const auto& [key, value] : drawn) text += key + " = " + value + "\n";
+    const std::string rendered = render_experiment_config(parse_experiment_config(text));
+    PROP_ASSERT(render_experiment_config(parse_experiment_config(rendered)) == rendered,
+                "render is not a fixed point for\n" + text);
+    for (const auto& [key, value] : drawn) {
+      if (decided_elsewhere(key, drawn)) continue;
+      const std::string want = key + " = " + value + "\n";
+      PROP_ASSERT(("\n" + rendered).find("\n" + want) != std::string::npos,
+                  "missing '" + want + "' in\n" + rendered);
+    }
+  };
+  const auto result = check::check_property("config-render-round-trip", property);
+  EXPECT_TRUE(result.ok) << result.report();
 }
 
 // --- link.backend / mesh.* strict validation -------------------------------

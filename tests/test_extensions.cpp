@@ -6,6 +6,7 @@
 #include "ble/world.hpp"
 #include "core/nimble_netif.hpp"
 #include "core/statconn.hpp"
+#include "obs/recorder.hpp"
 #include "phy/ble_phy.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
@@ -71,11 +72,9 @@ TEST(Phy2M, ConnectionCarriesMoreDataPerEvent) {
 TEST(Tracing, EmitsGapAndLinkLayerRecords) {
   sim::Simulator simu{5};
   ble::BleWorld world{simu, phy::ChannelModel{0.0}};
-  sim::Tracer tracer;
-  std::vector<sim::TraceRecord> records;
-  tracer.set_sink(sim::Tracer::collect_into(records));
-  tracer.enable(true);
-  world.set_tracer(&tracer);
+  obs::Recorder rec;
+  rec.collect(true);
+  world.set_recorder(&rec);
 
   ble::Controller& a = world.add_node(1, 0.0);
   ble::Controller& b = world.add_node(2, 0.0);
@@ -85,28 +84,24 @@ TEST(Tracing, EmitsGapAndLinkLayerRecords) {
   simu.run_until(sim::TimePoint::origin() + sim::Duration::sec(1));
   c.close();
 
-  ASSERT_GE(records.size(), 2u);
-  EXPECT_EQ(records.front().cat, sim::TraceCat::kGap);
-  EXPECT_NE(records.front().msg.find("open"), std::string::npos);
-  EXPECT_EQ(records.back().cat, sim::TraceCat::kLinkLayer);
-  EXPECT_NE(records.back().msg.find("closed"), std::string::npos);
-  EXPECT_NE(records.back().msg.find("local"), std::string::npos);
-}
-
-TEST(Tracing, DisabledTracerCostsNothing) {
-  sim::Simulator simu{5};
-  ble::BleWorld world{simu, phy::ChannelModel{0.0}};
-  sim::Tracer tracer;  // no sink, disabled
-  world.set_tracer(&tracer);
-  EXPECT_FALSE(world.tracing());
-  // And a null tracer is also fine.
-  world.set_tracer(nullptr);
-  ble::Controller& a = world.add_node(1, 0.0);
-  ble::Controller& b = world.add_node(2, 0.0);
-  world.open_connection(a, b, ble::ConnParams{}, sim::TimePoint::origin() +
-                                                     sim::Duration::ms(10));
-  simu.run_until(sim::TimePoint::origin() + sim::Duration::sec(1));
-  SUCCEED();
+  std::vector<obs::Event> lifecycle;
+  for (const obs::Event& e : rec.collected()) {
+    if (e.type == obs::EventType::kConnOpen || e.type == obs::EventType::kConnClose) {
+      lifecycle.push_back(e);
+    }
+  }
+  ASSERT_EQ(lifecycle.size(), 2u);
+  const obs::Event& open = lifecycle.front();
+  EXPECT_EQ(open.type, obs::EventType::kConnOpen);
+  EXPECT_EQ(obs::category(open.type), sim::TraceCat::kGap);
+  EXPECT_EQ(open.node, 1u);
+  EXPECT_EQ(open.a, 2u);
+  EXPECT_EQ(open.b, static_cast<std::uint32_t>(p.interval.count_us()));
+  const obs::Event& close = lifecycle.back();
+  EXPECT_EQ(close.type, obs::EventType::kConnClose);
+  EXPECT_EQ(obs::category(close.type), sim::TraceCat::kLinkLayer);
+  EXPECT_EQ(close.id, open.id);
+  EXPECT_EQ(close.flags, static_cast<std::uint16_t>(ble::DisconnectReason::kLocalClose));
 }
 
 TEST(StatconnPhy, PropagatesPhyMode) {

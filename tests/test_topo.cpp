@@ -68,42 +68,38 @@ TEST(TopoGeometry, WallCrossings) {
 // --- spec / config keys ----------------------------------------------------
 
 TEST(TopoSpec, ApplyAndRenderRoundTrip) {
-  topo::TopoSpec spec;
-  EXPECT_FALSE(topo::apply_topo_kv(spec, "duration", "1h"));  // not a topo key
-  EXPECT_TRUE(topo::apply_topo_kv(spec, "topo.generator", "floorplan"));
-  EXPECT_TRUE(topo::apply_topo_kv(spec, "topo.nodes", "48"));
-  EXPECT_TRUE(topo::apply_topo_kv(spec, "topo.rooms", "4x3"));
-  EXPECT_TRUE(topo::apply_topo_kv(spec, "topo.wall_loss_db", "9"));
-  EXPECT_TRUE(topo::apply_topo_kv(spec, "topo.seed", "42"));
+  testbed::ExperimentConfig cfg;
+  testbed::apply_experiment_kv(cfg, "topo.generator", "floorplan");
+  testbed::apply_experiment_kv(cfg, "topo.nodes", "48");
+  testbed::apply_experiment_kv(cfg, "topo.rooms", "4x3");
+  testbed::apply_experiment_kv(cfg, "topo.wall_loss_db", "9");
+  testbed::apply_experiment_kv(cfg, "topo.seed", "42");
+  testbed::apply_experiment_kv(cfg, "topo.fade_margin_db", "6");
+  const topo::TopoSpec& spec = cfg.topo;
   EXPECT_EQ(spec.generator, topo::Generator::kFloorplan);
   EXPECT_EQ(spec.nodes, 48u);
   EXPECT_EQ(spec.rooms_x, 4u);
   EXPECT_EQ(spec.rooms_y, 3u);
   EXPECT_DOUBLE_EQ(spec.wall_loss_db, 9.0);
 
-  // Render -> re-apply lands on the same spec.
-  topo::TopoSpec reparsed;
-  std::istringstream lines{topo::render_topo_spec(spec)};
-  std::string line;
-  while (std::getline(lines, line)) {
-    const auto eq = line.find(" = ");
-    ASSERT_NE(eq, std::string::npos) << line;
-    EXPECT_TRUE(topo::apply_topo_kv(reparsed, line.substr(0, eq), line.substr(eq + 3)));
-  }
+  // Render -> re-parse lands on the same spec.
+  const topo::TopoSpec reparsed =
+      testbed::parse_experiment_config(testbed::render_experiment_config(cfg)).topo;
   EXPECT_EQ(reparsed.generator, spec.generator);
   EXPECT_EQ(reparsed.nodes, spec.nodes);
   EXPECT_EQ(reparsed.rooms_x, spec.rooms_x);
   EXPECT_DOUBLE_EQ(reparsed.wall_loss_db, spec.wall_loss_db);
+  EXPECT_DOUBLE_EQ(reparsed.fade_margin_db, spec.fade_margin_db);
   EXPECT_EQ(reparsed.seed, spec.seed);
 }
 
 TEST(TopoSpec, BadKeysAndValuesThrow) {
-  topo::TopoSpec spec;
-  EXPECT_THROW((void)topo::apply_topo_kv(spec, "topo.flavor", "spicy"),
+  testbed::ExperimentConfig cfg;
+  EXPECT_THROW(testbed::apply_experiment_kv(cfg, "topo.flavor", "spicy"),
                std::runtime_error);
-  EXPECT_THROW((void)topo::apply_topo_kv(spec, "topo.nodes", "-3"), std::runtime_error);
-  EXPECT_THROW((void)topo::apply_topo_kv(spec, "topo.rooms", "4"), std::runtime_error);
-  EXPECT_THROW((void)topo::apply_topo_kv(spec, "topo.generator", "torus"),
+  EXPECT_THROW(testbed::apply_experiment_kv(cfg, "topo.nodes", "-3"), std::runtime_error);
+  EXPECT_THROW(testbed::apply_experiment_kv(cfg, "topo.rooms", "4"), std::runtime_error);
+  EXPECT_THROW(testbed::apply_experiment_kv(cfg, "topo.generator", "torus"),
                std::runtime_error);
 
   topo::TopoSpec bad = rgg_spec(1);
