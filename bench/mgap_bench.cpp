@@ -305,18 +305,28 @@ int run_scale(const std::string& out_dir, bool quick) {
                   c.adv_events_routed, c.adv_candidates_scanned);
     fingerprint_src += det;
 
-    char line[640];
+    // The full counter map (per-node radio claims, energy, drops, ...): the
+    // summary fields above would not see a wrong claim or charge total.
+    std::string counters_src;
+    for (const auto& [name, value] : s.counters) {
+      char num[32];
+      std::snprintf(num, sizeof num, "%.17g", value);
+      counters_src += name + '=' + num + ';';
+    }
+
+    char line[704];
     std::snprintf(line, sizeof line,
                   "    {\"nodes\": %u, \"sim_seconds\": %.0f, \"wall_seconds\": %.9f, "
                   "\"sim_per_wall\": %.1f, \"sent\": %" PRIu64 ", \"acked\": %" PRIu64
                   ", \"coap_pdr\": %.6f, \"mean_hops\": %.3f, \"max_hops\": %" PRIu64
                   ", \"adv_events_routed\": %" PRIu64
                   ", \"adv_candidates_scanned\": %" PRIu64
-                  ", \"adv_full_scans\": %" PRIu64 "}%s\n",
+                  ", \"adv_full_scans\": %" PRIu64 ", \"counters_fnv1a\": \"%016" PRIx64
+                  "\"}%s\n",
                   n, sim_seconds, c.wall, sim_per_wall, s.sent, s.acked, s.coap_pdr,
                   s.topo_mean_hops, s.topo_max_hops,
                   c.adv_events_routed, c.adv_candidates_scanned, c.adv_full_scans,
-                  i + 1 == std::size(sizes) ? "" : ",");
+                  fnv1a(counters_src), i + 1 == std::size(sizes) ? "" : ",");
     json += line;
     std::printf("scale: %5u nodes: %.0f sim-s in %.2f wall-s (%.0fx), PDR %.3f, "
                 "mean hops %.2f, %" PRIu64 " adv routed / %" PRIu64 " scanned\n",
