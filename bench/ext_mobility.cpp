@@ -37,7 +37,7 @@ int main() {
   MobilityConfig unused_defaults;  // (documented defaults: 30x30 m, 0.5-1.5 m/s)
   (void)unused_defaults;
   mob.add_mobile(16, Vec2{10.0, 10.0});
-  net.world().set_link_per(make_link_per(mob, RangeModel{8.0, 15.0}));
+  attach_link_per(net.world(), mob, RangeModel{8.0, 15.0});
   mob.start();
 
   // Track the mobile node's uplink over time.

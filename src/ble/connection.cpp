@@ -62,7 +62,7 @@ void Connection::start() {
   assert(!hot_.open);
   hot_.open = true;
   claim_event_slots(hot_.anchor);
-  schedule_event(hot_.anchor);
+  schedule_event(hot_.anchor, false);
 }
 
 void Connection::close(DisconnectReason reason) {
@@ -71,6 +71,7 @@ void Connection::close(DisconnectReason reason) {
 
 bool Connection::enqueue(Role from, LlPdu pdu) {
   if (!hot_.open) return false;
+  settle();  // data ends an idle run
   Controller& sender = node(from);
   if (!sender.pool_alloc(pdu.payload.size())) return false;
   queue_of(from).push_back(std::move(pdu));
@@ -78,12 +79,14 @@ bool Connection::enqueue(Role from, LlPdu pdu) {
 }
 
 void Connection::request_param_update(const ConnParams& params) {
+  settle();
   pending_params_ = params;
   apply_params_at_ = static_cast<std::uint16_t>(hot_.event_counter + kUpdateDelayEvents);
 }
 
 void Connection::request_channel_map_update(const ChannelMap& map) {
   assert(map.used_count() >= 2);
+  settle();
   pending_chmap_ = map;
   apply_chmap_at_ = static_cast<std::uint16_t>(hot_.event_counter + kUpdateDelayEvents);
 }
@@ -128,9 +131,12 @@ void Connection::afh_evaluate() {
 }
 
 sim::Duration Connection::window_widening(sim::TimePoint at) const {
+  return widening(sim::max(at - hot_.last_sub_sync, sim::Duration{}));
+}
+
+sim::Duration Connection::widening(sim::Duration since) const {
   const double combined_ppm =
       std::abs(coord_.clock().drift_ppm()) + std::abs(sub_.clock().drift_ppm());
-  const sim::Duration since = sim::max(at - hot_.last_sub_sync, sim::Duration{});
   const sim::Duration ww = since.scaled(combined_ppm * 1e-6) + config_.ww_margin;
   return sim::min(ww, params_.interval / 2);
 }
@@ -159,28 +165,51 @@ void Connection::claim_event_slots(sim::TimePoint anchor) {
 
 void Connection::shift_anchor(sim::Duration delta) {
   if (!hot_.open) return;
+  settle();
   sim_.cancel(hot_.next_event);
   coord_.scheduler().release(id_);
   sub_.scheduler().release(id_);
   hot_.anchor = sim::max(hot_.anchor + delta, sim_.now());
   claim_event_slots(hot_.anchor);
-  schedule_event(hot_.anchor);
+  schedule_event(hot_.anchor, false);
 }
 
-void Connection::schedule_event(sim::TimePoint anchor) {
-  hot_.next_event = sim_.schedule_at(anchor, [this, anchor] { on_conn_event(anchor); });
+void Connection::schedule_event(sim::TimePoint anchor, bool train_armed) {
+  const sim::TimePoint scheduled_at = train_armed ? anchor - train_.step : sim_.now();
+  hot_.next_event = sim_.schedule_at(anchor, scheduled_at, [this, anchor, train_armed] {
+    on_conn_event(anchor, train_armed);
+  });
 }
 
-void Connection::on_conn_event(sim::TimePoint anchor) {
+void Connection::on_conn_event(sim::TimePoint anchor, bool train_armed) {
   if (!hot_.open) return;
+  // Event by event, this event and one due at the same instant that was
+  // scheduled at the same instant would fire in the order their arming
+  // events ran, and one of those never ran.
+  if (train_armed && sim_.running_tied()) world_.note_train_tie();
+  // A horizon event: the skipped events before it run first.
+  if (fast_forwarding()) end_train(train_.windows - 1);
+  assert(hot_.anchor == anchor);
+  hot_.quiet_events = coord_q_.empty() && sub_q_.empty()
+                          ? static_cast<std::uint8_t>(std::min(hot_.quiet_events + 1, 255))
+                          : std::uint8_t{0};
+  if (!run_event(anchor, false)) return;
+  coord_.scheduler().release(id_);
+  sub_.scheduler().release(id_);
+  claim_event_slots(hot_.anchor);
+  arm_next_event();
+}
 
+bool Connection::run_event(sim::TimePoint anchor, bool skipped) {
   const std::uint8_t channel = chan_sel_.channel_for_event(hot_.event_counter, chmap_);
 
-  if (hot_.coord_granted) ++coord_.activity().conn_events_coord;
-  if (hot_.sub_granted) ++sub_.activity().conn_events_sub;
+  if (hot_.coord_granted) ++coord_.activity_counters().conn_events_coord;
+  if (hot_.sub_granted) ++sub_.activity_counters().conn_events_sub;
 
   if (hot_.coord_granted && hot_.sub_granted) {
-    const bool synced = run_exchange(anchor, channel);
+    const double link_per =
+        skipped ? train_link_per_ : world_.link_per(coord_.id(), sub_.id());
+    const bool synced = run_exchange(anchor, channel, link_per);
     if (synced) hot_.last_sub_sync = anchor;
   } else if (!hot_.sub_intentional_skip) {
     ++stats_.events_missed;
@@ -215,7 +244,7 @@ void Connection::on_conn_event(sim::TimePoint anchor) {
   if (anchor - hot_.last_valid_rx_coord > params_.supervision_timeout ||
       anchor - hot_.last_valid_rx_sub > params_.supervision_timeout) {
     terminate(DisconnectReason::kSupervisionTimeout);
-    return;
+    return false;
   }
 
   ++hot_.event_counter;
@@ -235,20 +264,178 @@ void Connection::on_conn_event(sim::TimePoint anchor) {
   // The coordinator's sleep clock advances the anchor: nominal interval
   // stretched by its drift. This is where clock drift enters the system.
   hot_.anchor = anchor + coord_.clock().local_to_global(params_.interval);
-
-  coord_.scheduler().release(id_);
-  sub_.scheduler().release(id_);
-  claim_event_slots(hot_.anchor);
-  schedule_event(hot_.anchor);
+  return true;
 }
 
-bool Connection::run_exchange(sim::TimePoint anchor, std::uint8_t channel) {
+void Connection::arm_next_event() {
+  const std::uint32_t windows = idle_run_windows();
+  if (windows < 2) {
+    schedule_event(hot_.anchor, false);
+    return;
+  }
+  train_link_per_ = world_.link_per(coord_.id(), sub_.id());
+  // The window just claimed becomes train window 0.
+  coord_.scheduler().release(id_);
+  sub_.scheduler().release(id_);
+  coord_.scheduler().add_train(&train_, false);
+  sub_.scheduler().add_train(&train_, true);
+  world_.train_started(*this);
+  schedule_horizon();
+}
+
+std::uint32_t Connection::idle_run_windows() {
+  if (!hot_.coord_granted || !hot_.sub_granted || !coord_q_.empty() || !sub_q_.empty() ||
+      hot_.quiet_events < kQuietEventsBeforeTrain || params_.subordinate_latency > 0 ||
+      !world_.fast_forward_allowed()) {
+    return 0;
+  }
+  const sim::TimePoint a0 = hot_.anchor;
+  const sim::Duration step = coord_.clock().local_to_global(params_.interval);
+  // Supervision: a skipped event must pass the timeout check even if no
+  // packet gets through from now on; the first one that might not runs for
+  // real (skipped anchors a_0 .. a_{w-2} stay within the timeout).
+  const sim::Duration budget =
+      sim::min(hot_.last_valid_rx_coord, hot_.last_valid_rx_sub) +
+      params_.supervision_timeout - a0;
+  if (budget.is_negative()) return 0;
+  auto w = static_cast<std::uint32_t>(
+      std::min<std::int64_t>(budget / step + 2, kMaxTrainWindows));
+  // The event that reaches a pending update instant or an AFH evaluation
+  // (by its incremented counter) runs for real.
+  if (pending_params_ || pending_chmap_ || config_.adaptive_channel_map) {
+    for (std::uint32_t k = 0; k + 1 < w; ++k) {
+      const auto c = static_cast<std::uint16_t>(hot_.event_counter + k + 1);
+      if ((pending_params_ && c == apply_params_at_) ||
+          (pending_chmap_ && c == apply_chmap_at_) ||
+          (config_.adaptive_channel_map && c % config_.afh_eval_events == 0)) {
+        w = k + 1;
+        break;
+      }
+    }
+  }
+  if (w < 2) return 0;
+
+  ClaimTrain t;
+  t.conn = this;
+  t.owner = id_;
+  t.first = a0;
+  t.step = step;
+  t.slot = config_.reserve_slot;
+  t.windows = w;
+  t.ww_first = window_widening(a0);
+  // Widening grows while no packet resynchronises the subordinate: one
+  // interval after a sync at the least, and the last window bounds it.
+  t.ww_min = widening(step);
+  t.ww_max = window_widening(a0 + step * static_cast<std::int64_t>(w - 1));
+  if (t.slot + sim::max(t.ww_first, t.ww_max) * 2 >= step) return 0;
+
+  // Window i (>= 1) is claimed by the event at a_{i-1}: the first that may
+  // overlap a claim already in either table, or another train's window, is
+  // claimed by a real event. The other train needs no cut: if it claims its
+  // window first, that claim is granted event by event too (ours is not
+  // made yet) and ours is denied; if ours comes first, try_claim cuts it.
+  for (const bool widened : {false, true}) {
+    RadioScheduler& sched = widened ? sub_.scheduler() : coord_.scheduler();
+    sched.for_each_claim([&](sim::TimePoint start, sim::TimePoint end, std::uint64_t owner) {
+      if (owner == id_) return;
+      t.windows = std::min(t.windows,
+                           RadioScheduler::first_overlap(t, widened, 1, start, end));
+    });
+    sched.for_each_train([&](const ClaimTrain& other, bool other_widened) {
+      t.windows = RadioScheduler::first_collision(t, widened, 1, other, other_widened,
+                                                  other.conn->train_held());
+    });
+  }
+  if (t.windows < 2) return 0;
+  train_ = t;
+  return train_.windows;
+}
+
+void Connection::run_skipped(std::uint32_t n) {
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const bool open =
+        run_event(train_.first + train_.step * static_cast<std::int64_t>(i), true);
+    assert(open);
+    (void)open;
+  }
+  // Each skipped event claimed the next window on both nodes.
+  coord_.scheduler().count_train_grants(n);
+  sub_.scheduler().count_train_grants(n);
+}
+
+void Connection::catch_up() {
+  const std::uint32_t held = train_held();
+  if (held == 0) return;
+  run_skipped(held);
+  train_.first = hot_.anchor;
+  train_.windows -= held;
+  train_.ww_first = window_widening(hot_.anchor);
+}
+
+void Connection::end_train(std::uint32_t n) {
+  run_skipped(n);
+  coord_.scheduler().drop_train(&train_);
+  sub_.scheduler().drop_train(&train_);
+  world_.train_ended(*this);
+  train_.windows = 0;
+}
+
+std::uint32_t Connection::train_held() const {
+  const std::int64_t since = (sim_.now() - train_.first).count_ns();
+  const std::int64_t step = train_.step.count_ns();
+  if (since < 0) return 0;
+  if (!sim_.dispatching()) return static_cast<std::uint32_t>(since / step + 1);
+  std::int64_t passed = (since + step - 1) / step;
+  if (since % step == 0) {
+    // An anchor equals now. Event by event its event was scheduled by the
+    // one before it, and the heap fires same-instant events in scheduling
+    // order: it has passed when it was scheduled before the running event.
+    const sim::TimePoint scheduled = train_.first + train_.step * (passed - 1);
+    if (scheduled == sim_.running_scheduled_at()) world_.note_train_tie();
+    if (scheduled < sim_.running_scheduled_at()) ++passed;
+  }
+  assert(passed < train_.windows);
+  return static_cast<std::uint32_t>(passed);
+}
+
+void Connection::settle() {
+  if (!fast_forwarding()) return;
+  end_train(train_held());
+  // The held window becomes an ordinary claim (its grant is counted) and its
+  // event a real heap entry.
+  sim_.cancel(hot_.next_event);
+  const sim::TimePoint a = hot_.anchor;
+  const sim::Duration ww = window_widening(a);
+  coord_.scheduler().insert_claim(a, a + config_.reserve_slot, id_);
+  sub_.scheduler().insert_claim(a - ww, a + config_.reserve_slot + ww, id_);
+  schedule_event(a, true);
+}
+
+void Connection::cut_train(std::uint32_t windows) {
+  if (windows >= train_.windows) return;
+  assert(windows > train_held());
+  train_.windows = windows;
+  sim_.cancel(hot_.next_event);
+  schedule_horizon();
+}
+
+void Connection::schedule_horizon() {
+  const sim::TimePoint a =
+      train_.first + train_.step * static_cast<std::int64_t>(train_.windows - 1);
+  schedule_event(a, true);
+}
+
+bool Connection::run_exchange(sim::TimePoint anchor, std::uint8_t channel,
+                              double link_per) {
   // Usable window: up to the own next event or the next radio claim of either
   // node, whichever comes first, minus one IFS for radio turnaround
-  // (Figure 3 / Figure 4 semantics).
+  // (Figure 3 / Figure 4 semantics). With both queues empty the loop ends
+  // after the mandatory first pair, which never reads the window.
   sim::TimePoint wend = anchor + params_.interval;
-  wend = sim::min(wend, coord_.scheduler().next_start_after(anchor, id_));
-  wend = sim::min(wend, sub_.scheduler().next_start_after(anchor, id_));
+  if (!coord_q_.empty() || !sub_q_.empty()) {
+    wend = sim::min(wend, coord_.scheduler().next_start_after(anchor, id_));
+    wend = sim::min(wend, sub_.scheduler().next_start_after(anchor, id_));
+  }
   wend = wend - phy::kIfs;
 
   // Delivery rolls against the *receiver's* regional channel model; both
@@ -258,8 +445,6 @@ bool Connection::run_exchange(sim::TimePoint anchor, std::uint8_t channel) {
   const phy::ChannelModel& cm_s2c = world_.channel_model_for(coord_.id());
   obs::Recorder* rec = world_.recorder();
   const bool rec_pdu = rec != nullptr && rec->wants(obs::EventType::kPduTx);
-  // Pairwise link quality (mobility extension): 0 in the paper's fixed grid.
-  const double link_per = world_.link_per(coord_.id(), sub_.id());
   sim::TimePoint t = anchor;
   unsigned pairs = 0;
   bool sub_synced = false;
@@ -283,10 +468,10 @@ bool Connection::run_exchange(sim::TimePoint anchor, std::uint8_t channel) {
       ++stats_.pdu_tx;
       ++stats_.chan_tx[channel];
     }
-    coord_.activity().bytes_tx += c_len + phy::kLlOverheadBytes;
-    sub_.activity().bytes_rx += c_len + phy::kLlOverheadBytes;
-    coord_.activity().data_bytes_tx += c_len;
-    sub_.activity().data_bytes_rx += c_len;
+    coord_.activity_counters().bytes_tx += c_len + phy::kLlOverheadBytes;
+    sub_.activity_counters().bytes_rx += c_len + phy::kLlOverheadBytes;
+    coord_.activity_counters().data_bytes_tx += c_len;
+    sub_.activity_counters().data_bytes_rx += c_len;
     const bool c2s_ok = cm_c2s.deliver(channel, rng_) && !rng_.chance(link_per);
     afh_note(channel, c2s_ok);
     if (rec_pdu && c_has) {
@@ -319,10 +504,10 @@ bool Connection::run_exchange(sim::TimePoint anchor, std::uint8_t channel) {
       ++stats_.pdu_tx;
       ++stats_.chan_tx[channel];
     }
-    sub_.activity().bytes_tx += s_len + phy::kLlOverheadBytes;
-    coord_.activity().bytes_rx += s_len + phy::kLlOverheadBytes;
-    sub_.activity().data_bytes_tx += s_len;
-    coord_.activity().data_bytes_rx += s_len;
+    sub_.activity_counters().bytes_tx += s_len + phy::kLlOverheadBytes;
+    coord_.activity_counters().bytes_rx += s_len + phy::kLlOverheadBytes;
+    sub_.activity_counters().data_bytes_tx += s_len;
+    coord_.activity_counters().data_bytes_rx += s_len;
     const bool s2c_ok = cm_s2c.deliver(channel, rng_) && !rng_.chance(link_per);
     afh_note(channel, s2c_ok);
     if (rec_pdu && s_has) {
@@ -381,8 +566,8 @@ bool Connection::run_exchange(sim::TimePoint anchor, std::uint8_t channel) {
 
     ++pairs;
     if (pairs > 1) {
-      ++coord_.activity().packet_pairs;
-      ++sub_.activity().packet_pairs;
+      ++coord_.activity_counters().packet_pairs;
+      ++sub_.activity_counters().packet_pairs;
     }
     t = done;
     if (coord_q_.empty() && sub_q_.empty()) break;  // both MD flags clear
@@ -425,6 +610,7 @@ void Connection::deliver_later(Role to, LlPdu pdu, sim::TimePoint at) {
 
 void Connection::terminate(DisconnectReason reason) {
   if (!hot_.open) return;
+  settle();
   hot_.open = false;
   if (reason == DisconnectReason::kSupervisionTimeout) ++stats_.conn_losses;
   if (obs::Recorder* rec = world_.recorder();

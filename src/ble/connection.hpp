@@ -14,6 +14,15 @@
 //    connection interval later (section 5.1).
 //  * When the time since the last valid packet exceeds the supervision
 //    timeout, the connection terminates on both ends.
+//
+// Fast-forward: while a connection is idle (empty LL queues, both next claims
+// granted) its events differ only in draws from its own RNG stream, so it
+// keeps one heap entry at the end of the idle run (the horizon) instead of
+// one per event, and its claims form a ClaimTrain in both radio schedulers.
+// settle() runs the skipped events through the same per-event step
+// (run_event) in a tight loop, with the same draws in the same order.
+// DESIGN.md ("Fast-forward of idle BLE connections") has the horizon rules
+// and the settle points.
 
 #include <cstdint>
 #include <deque>
@@ -22,6 +31,7 @@
 #include "ble/channel_selection.hpp"
 #include "ble/l2cap.hpp"
 #include "ble/ll_types.hpp"
+#include "ble/radio_scheduler.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
@@ -50,6 +60,7 @@ struct ConnHot {
   sim::TimePoint last_sub_sync;
   sim::EventId next_event{};
   std::uint16_t event_counter{0};
+  std::uint8_t quiet_events{0};  // real events in a row that began with empty queues
   unsigned latency_skips{0};
   bool open{false};
   bool coord_granted{false};
@@ -114,9 +125,18 @@ class Connection {
   [[nodiscard]] std::uint32_t access_address() const { return access_address_; }
   [[nodiscard]] const ChannelMap& channel_map() const { return chmap_; }
   [[nodiscard]] L2capCoc& coc() { return coc_; }
-  [[nodiscard]] LinkStats& link_stats() { return stats_; }
-  [[nodiscard]] std::uint16_t event_counter() const { return hot_.event_counter; }
-  [[nodiscard]] sim::TimePoint next_anchor() const { return hot_.anchor; }
+  [[nodiscard]] LinkStats& link_stats() {
+    settle();
+    return stats_;
+  }
+  [[nodiscard]] std::uint16_t event_counter() {
+    settle();
+    return hot_.event_counter;
+  }
+  [[nodiscard]] sim::TimePoint next_anchor() {
+    settle();
+    return hot_.anchor;
+  }
 
   /// Queues an LL data PDU for transfer from side `from`. Charges the sending
   /// node's BLE buffer pool; false when the pool is exhausted.
@@ -136,8 +156,36 @@ class Connection {
   /// stay put, so a large step can legitimately trip the timeout.
   void shift_anchor(sim::Duration delta);
 
+  // --- fast-forward ----------------------------------------------------------
+  [[nodiscard]] bool fast_forwarding() const { return train_.windows > 0; }
+  /// Runs the skipped events whose anchors have passed and returns to
+  /// event-by-event mode: the held window becomes an ordinary claim and the
+  /// next event a real heap entry. No-op when not fast-forwarding.
+  void settle();
+  /// Index of the train window held now: the first whose anchor has not
+  /// passed. Between run_until calls an anchor at now has passed; inside an
+  /// event it has when its event would have been scheduled before the
+  /// running one (the heap's order for same-instant events).
+  [[nodiscard]] std::uint32_t train_held() const;
+  /// Runs the skipped events whose anchors have passed and restarts the
+  /// train at the held window, whose widening is then exact. Stays
+  /// fast-forwarding; the horizon does not move.
+  void catch_up();
+  /// Shortens the train to `windows` windows, so the event that would claim
+  /// window `windows` runs for real (it must be after the held window).
+  void cut_train(std::uint32_t windows);
+
  private:
   static constexpr unsigned kUpdateDelayEvents = 6;
+  /// Longest idle run one heap entry covers. The supervision timeout bounds
+  /// runs first (~30 events at 2 s / 75 ms); this only caps runs of
+  /// connections with a very long timeout.
+  static constexpr std::uint32_t kMaxTrainWindows = 512;
+  /// Real idle events in a row before an idle run may start. A link that
+  /// just carried data usually gets more within an interval or two (the
+  /// next fragment, credits, the response), and a train that is settled
+  /// before it skips two events costs more than the events it saves.
+  static constexpr std::uint8_t kQuietEventsBeforeTrain = 3;
 
   [[nodiscard]] std::deque<LlPdu>& queue_of(Role r) {
     return r == Role::kCoordinator ? coord_q_ : sub_q_;
@@ -147,14 +195,38 @@ class Connection {
   }
 
   void claim_event_slots(sim::TimePoint anchor);
-  void schedule_event(sim::TimePoint anchor);
-  void on_conn_event(sim::TimePoint anchor);
+  /// Arms the event at `anchor`. Its scheduling instant orders it among
+  /// events due at the same instant: now for an event armed by a real one;
+  /// for one armed for a train (`train_armed`: its arming event was
+  /// skipped), one train step before the anchor.
+  void schedule_event(sim::TimePoint anchor, bool train_armed);
+  /// Arms the horizon: the event at the train's last window.
+  void schedule_horizon();
+  void on_conn_event(sim::TimePoint anchor, bool train_armed);
+  /// The per-event step shared by real and skipped events: channel, the
+  /// exchange or the missed-event accounting, supervision, the event counter
+  /// and its instants, and the next anchor. A skipped event uses the link PER
+  /// sampled when its train started. Returns false when the supervision
+  /// timeout closed the connection.
+  bool run_event(sim::TimePoint anchor, bool skipped);
   /// Runs the TX/RX pair loop; returns true when the subordinate received at
   /// least one valid PDU (it resynchronised its sleep clock).
-  bool run_exchange(sim::TimePoint anchor, std::uint8_t channel);
+  bool run_exchange(sim::TimePoint anchor, std::uint8_t channel, double link_per);
+  /// Schedules the next event after a real one, or starts a claim train
+  /// when the connection is idle.
+  void arm_next_event();
+  /// Number of windows an idle run starting at the next anchor may skip
+  /// through (0 or 1: none).
+  [[nodiscard]] std::uint32_t idle_run_windows();
+  /// Runs the skipped events of the first `n` train windows.
+  void run_skipped(std::uint32_t n);
+  /// run_skipped(n), then drops the train.
+  void end_train(std::uint32_t n);
   void deliver_later(Role to, LlPdu pdu, sim::TimePoint at);
   void terminate(DisconnectReason reason);
   [[nodiscard]] sim::Duration window_widening(sim::TimePoint at) const;
+  /// Window widening `since` the subordinate's last resynchronisation.
+  [[nodiscard]] sim::Duration widening(sim::Duration since) const;
 
   sim::Simulator& sim_;
   BleWorld& world_;
@@ -185,6 +257,12 @@ class Connection {
   void afh_evaluate();
 
   L2capCoc coc_;
+
+  ClaimTrain train_;         // windows == 0: not fast-forwarding
+  double train_link_per_{0.0};
+
+  friend class BleWorld;
+  std::uint32_t train_slot_{0};  // index in BleWorld's fast-forward list
 };
 
 }  // namespace mgap::ble

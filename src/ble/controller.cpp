@@ -21,11 +21,26 @@ Controller::Controller(sim::Simulator& sim, BleWorld& world, NodeId id,
 
 void Controller::set_radio_on(bool on) {
   if (radio_on_ == on) return;
+  settle_connections();
   radio_on_ = on;
   if (!on) {
     stop_advertising();
     while (!intents_.empty()) stop_initiating(intents_.back().peer);
   }
+}
+
+void Controller::set_clock_drift(double ppm) {
+  settle_connections();
+  clock_ = sim::SleepClock{ppm};
+}
+
+void Controller::settle_connections() const {
+  for (const auto& [peer, conn] : links_) conn->settle();
+}
+
+const RadioActivity& Controller::activity() const {
+  settle_connections();
+  return activity_;
 }
 
 void Controller::start_advertising() {
@@ -99,7 +114,7 @@ const ConnParams* Controller::initiating_params(NodeId peer) const {
   return it == intents_.end() ? nullptr : &it->params;
 }
 
-bool Controller::scanner_hears(sim::TimePoint t, sim::Duration adv_duration) const {
+bool Controller::scanner_hears(sim::TimePoint t, sim::Duration adv_duration) {
   if (!radio_on_) return false;
   // The scanner is a lower-priority radio user: connection events preempt it.
   if (!sched_.is_free(t, t + adv_duration, /*owner=*/0)) return false;

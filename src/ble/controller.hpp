@@ -93,7 +93,7 @@ class Controller {
   [[nodiscard]] bool radio_on() const { return radio_on_; }
 
   /// Replaces the sleep-clock drift (clock-perturbation faults).
-  void set_clock_drift(double ppm) { clock_ = sim::SleepClock{ppm}; }
+  void set_clock_drift(double ppm);
 
   // --- GAP -----------------------------------------------------------------
   /// Starts connectable advertising (subordinate-to-be).
@@ -135,8 +135,11 @@ class Controller {
   [[nodiscard]] std::uint64_t pool_denied() const { return pool_denied_; }
 
   // --- accounting --------------------------------------------------------------
-  [[nodiscard]] const RadioActivity& activity() const { return activity_; }
-  [[nodiscard]] RadioActivity& activity() { return activity_; }
+  /// Settles this node's fast-forwarded connections first, so the counters
+  /// include their skipped events.
+  [[nodiscard]] const RadioActivity& activity() const;
+  /// The counters themselves, for the connection-event step.
+  [[nodiscard]] RadioActivity& activity_counters() { return activity_; }
 
   // --- internal hooks (Connection / BleWorld) ----------------------------------
   void notify_open(Connection& conn);
@@ -144,13 +147,15 @@ class Controller {
   void notify_sdu(Connection& conn, std::vector<std::uint8_t> sdu, sim::TimePoint at);
   void notify_tx_space(Connection& conn);
   /// True when this node's scanner would pick up an adv event at `t`.
-  [[nodiscard]] bool scanner_hears(sim::TimePoint t, sim::Duration adv_duration) const;
+  [[nodiscard]] bool scanner_hears(sim::TimePoint t, sim::Duration adv_duration);
   [[nodiscard]] const ConnParams* initiating_params(NodeId peer) const;
   void notify_observed(NodeId advertiser, std::uint16_t adv_data) {
     if (observer_) observer_(advertiser, adv_data);
   }
 
  private:
+  /// Settles every fast-forwarded connection of this node.
+  void settle_connections() const;
   void schedule_adv_event();
   void on_adv_event(std::uint64_t session);
 

@@ -10,7 +10,42 @@ namespace mgap::ble {
 BleWorld::BleWorld(sim::Simulator& sim, phy::ChannelModel channel_model,
                    sim::Arena::Mode arena_mode)
     : sim_{sim}, channel_model_{channel_model}, rng_{sim.make_rng()},
-      arena_{arena_mode} {}
+      arena_{arena_mode} {
+  sim_.add_pause_hook(this, [this] { settle_all(); });
+}
+
+BleWorld::~BleWorld() { sim_.remove_pause_hook(this); }
+
+void BleWorld::settle_all() {
+  while (!trains_.empty()) trains_.back()->settle();
+}
+
+bool BleWorld::fast_forward_allowed() const {
+  if (recorder_ == nullptr) return true;
+  return !(recorder_->wants(obs::EventType::kConnEvent) ||
+           recorder_->wants(obs::EventType::kConnEventMissed) ||
+           recorder_->wants(obs::EventType::kPduTx) ||
+           recorder_->wants(obs::EventType::kRadioClaim));
+}
+
+void BleWorld::note_train_tie() {
+  ++train_ties_;
+#ifdef MGAP_PARANOID
+  throw std::logic_error{"BleWorld: fast-forward anchor tie at " + sim_.now().str()};
+#endif
+}
+
+void BleWorld::train_started(Connection& conn) {
+  conn.train_slot_ = static_cast<std::uint32_t>(trains_.size());
+  trains_.push_back(&conn);
+}
+
+void BleWorld::train_ended(Connection& conn) {
+  Connection* last = trains_.back();
+  trains_[conn.train_slot_] = last;
+  last->train_slot_ = conn.train_slot_;
+  trains_.pop_back();
+}
 
 Controller& BleWorld::add_node(NodeId id, double drift_ppm, ControllerConfig config) {
   // A real error, not an assert: a duplicate id is a configuration mistake
@@ -44,7 +79,7 @@ Connection& BleWorld::open_connection(Controller& coord, Controller& sub,
                                       sim::TimePoint first_anchor) {
   const ConnId id = next_conn_id_++;
   const auto access_address = static_cast<std::uint32_t>(rng_.next_u64());
-  LinkStats& stats = link_stats(coord.id(), sub.id());
+  LinkStats& stats = stats_for(coord.id(), sub.id());
   if (stats.events_ok + stats.events_missed > 0 || stats.conn_losses > 0) {
     ++stats.reconnects;
   }
@@ -127,6 +162,11 @@ void BleWorld::route_adv_event(Controller& advertiser, sim::TimePoint t,
 }
 
 LinkStats& BleWorld::link_stats(NodeId coordinator, NodeId subordinate) {
+  settle_all();
+  return stats_for(coordinator, subordinate);
+}
+
+LinkStats& BleWorld::stats_for(NodeId coordinator, NodeId subordinate) {
   const auto key = std::make_pair(coordinator, subordinate);
   auto it = link_stats_.find(key);
   if (it == link_stats_.end()) {
@@ -138,7 +178,8 @@ LinkStats& BleWorld::link_stats(NodeId coordinator, NodeId subordinate) {
   return *it->second;
 }
 
-std::vector<const LinkStats*> BleWorld::all_link_stats() const {
+std::vector<const LinkStats*> BleWorld::all_link_stats() {
+  settle_all();
   std::vector<const LinkStats*> out;
   out.reserve(link_stats_.size());
   for (const auto& [key, stats] : link_stats_) out.push_back(stats);

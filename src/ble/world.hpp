@@ -38,6 +38,7 @@ class BleWorld {
   BleWorld(sim::Simulator& sim, phy::ChannelModel channel_model,
            sim::Arena::Mode arena_mode = sim::Arena::Mode::kBump);
 
+  ~BleWorld();
   BleWorld(const BleWorld&) = delete;
   BleWorld& operator=(const BleWorld&) = delete;
 
@@ -49,7 +50,12 @@ class BleWorld {
   /// backing arena frees them only at teardown).
   [[nodiscard]] const std::vector<Controller*>& nodes() const { return nodes_; }
 
-  [[nodiscard]] phy::ChannelModel& channel_model() { return channel_model_; }
+  /// Mutable access settles every fast-forwarded connection first: what
+  /// their skipped events drew against must not change under them.
+  [[nodiscard]] phy::ChannelModel& channel_model() {
+    settle_all();
+    return channel_model_;
+  }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
   /// Regional channel models: a per-receiver override of the global model,
@@ -60,6 +66,7 @@ class BleWorld {
   /// sits. With no overrides installed (the legacy configuration) every
   /// lookup returns the global model and behavior is byte-identical.
   [[nodiscard]] phy::ChannelModel& region_channel_model(NodeId node) {
+    settle_all();
     const auto it = region_models_.find(node);
     if (it != region_models_.end()) return it->second;
     return region_models_.emplace(node, channel_model_).first->second;
@@ -81,7 +88,13 @@ class BleWorld {
   /// "all nodes in range" default, 1 means out of range. Combined
   /// multiplicatively with the per-channel model.
   using LinkPerFn = std::function<double(NodeId, NodeId)>;
-  void set_link_per(LinkPerFn fn) { link_per_ = std::move(fn); }
+  /// The hook's answer may change only after settle_all(): an idle run
+  /// samples it once for all the events it skips. A static geometry never
+  /// changes; a moving one settles before each move (testbed::attach_link_per).
+  void set_link_per(LinkPerFn fn) {
+    settle_all();
+    link_per_ = std::move(fn);
+  }
   /// The raw installed hook (null when unset); lets a fault injector compose
   /// its own windows over a pre-existing model instead of replacing it.
   [[nodiscard]] const LinkPerFn& link_per_fn() const { return link_per_; }
@@ -125,8 +138,9 @@ class BleWorld {
   /// routes it to at most one listening initiator.
   void route_adv_event(Controller& advertiser, sim::TimePoint t, sim::Duration duration);
 
+  /// Per-link statistics, settled (see settle_all).
   [[nodiscard]] LinkStats& link_stats(NodeId coordinator, NodeId subordinate);
-  [[nodiscard]] std::vector<const LinkStats*> all_link_stats() const;
+  [[nodiscard]] std::vector<const LinkStats*> all_link_stats();
   [[nodiscard]] std::uint64_t total_conn_losses() const;
 
   [[nodiscard]] std::vector<Connection*> open_connections() const;
@@ -140,9 +154,29 @@ class BleWorld {
   void set_recorder(obs::Recorder* recorder);
   [[nodiscard]] obs::Recorder* recorder() const { return recorder_; }
 
+  // --- fast-forward (ble/connection.hpp, DESIGN.md) --------------------------
+  /// Brings every fast-forwarded connection up to now and back to event by
+  /// event. Runs whenever Simulator::run_until returns; call it before any
+  /// change, made inside an event, to what idle connection events read.
+  void settle_all();
+  /// False while the recorder wants link-layer events or the link-PER hook
+  /// may change at any time: connections then run event by event.
+  [[nodiscard]] bool fast_forward_allowed() const;
+  /// A skipped anchor equal to now, asked about by an event scheduled at the
+  /// same instant as the skipped event would have been: the one order the
+  /// heap's FIFO rule leaves undecided. Throws under MGAP_PARANOID.
+  [[nodiscard]] std::uint64_t train_ties() const { return train_ties_; }
+  void note_train_tie();
+  void train_started(Connection& conn);
+  void train_ended(Connection& conn);
+
  private:
+  [[nodiscard]] LinkStats& stats_for(NodeId coordinator, NodeId subordinate);
+
   obs::Recorder* recorder_{nullptr};
   LinkPerFn link_per_;
+  std::vector<Connection*> trains_;  // fast-forwarded connections
+  std::uint64_t train_ties_{0};
   sim::Simulator& sim_;
   phy::ChannelModel channel_model_;
   std::map<NodeId, phy::ChannelModel> region_models_;

@@ -70,6 +70,8 @@ void FaultInjector::arm(std::vector<FaultEvent> plan) {
 void FaultInjector::install_link_hook() {
   prev_link_per_ = world_->link_per_fn();
   // Combine failure probabilities: surviving both hazards independently.
+  // The windows change the answer only where begin_fault/end_fault settle
+  // the world, as set_link_per requires.
   world_->set_link_per([this](NodeId a, NodeId b) {
     const double prev = prev_link_per_ ? prev_link_per_(a, b) : 0.0;
     const double extra = windowed_link_per(a, b);
@@ -124,7 +126,10 @@ void FaultInjector::begin_fault(std::size_t index) {
     }
     case FaultKind::kBlackout:
     case FaultKind::kAttenuate:
-      break;  // the installed link hook reads the window directly
+      // The installed link hook reads the window directly; idle runs that
+      // sampled it before the window opened end here.
+      if (world_ != nullptr) world_->settle_all();
+      break;
     case FaultKind::kInterfere: {
       if (world_ == nullptr) break;
       if (ev.radius > 0.0 && hooks_.nodes_within) {
@@ -201,6 +206,7 @@ void FaultInjector::end_fault(std::size_t index) {
     }
     case FaultKind::kBlackout:
     case FaultKind::kAttenuate:
+      if (world_ != nullptr) world_->settle_all();
       break;
     case FaultKind::kInterfere: {
       if (world_ == nullptr) break;

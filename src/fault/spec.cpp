@@ -14,6 +14,14 @@ namespace {
   throw std::runtime_error{"fault: " + what};
 }
 
+/// Shortest decimal form that parses back to the same double, so a rendered
+/// fault line reproduces its run.
+std::string shortest(double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
+}
+
 std::optional<double> parse_number(std::string_view s) {
   double v{};
   const auto* end = s.data() + s.size();
@@ -103,16 +111,16 @@ std::string FaultEvent::str() const {
       break;
     case FaultKind::kAttenuate:
       out << " link=" << node << "-" << peer << " at=" << at.since_origin().str()
-          << " for=" << duration.str() << " per=" << per;
+          << " for=" << duration.str() << " per=" << shortest(per);
       break;
     case FaultKind::kInterfere:
       out << " channels=" << static_cast<int>(chan_lo) << "-"
           << static_cast<int>(chan_hi) << " at=" << at.since_origin().str()
-          << " for=" << duration.str() << " per=" << per;
-      if (radius > 0.0) out << " node=" << node << " radius=" << radius;
+          << " for=" << duration.str() << " per=" << shortest(per);
+      if (radius > 0.0) out << " node=" << node << " radius=" << shortest(radius);
       break;
     case FaultKind::kClockDrift:
-      out << " node=" << node << " at=" << at.since_origin().str() << " ppm=" << ppm;
+      out << " node=" << node << " at=" << at.since_origin().str() << " ppm=" << shortest(ppm);
       if (!duration.is_zero()) out << " for=" << duration.str();
       break;
     case FaultKind::kClockStep:
@@ -122,7 +130,7 @@ std::string FaultEvent::str() const {
     case FaultKind::kPressure:
       out << " node=" << node << " at=" << at.since_origin().str()
           << " for=" << duration.str() << " bytes=" << bytes;
-      if (radius > 0.0) out << " radius=" << radius;
+      if (radius > 0.0) out << " radius=" << shortest(radius);
       break;
   }
   return out.str();

@@ -69,13 +69,13 @@ std::uint32_t EventQueue::alloc_slot() {
   return slot;
 }
 
-EventId EventQueue::schedule(TimePoint at, Action action) {
+EventId EventQueue::schedule(TimePoint at, Action action, TimePoint scheduled_at) {
   const std::uint32_t slot = alloc_slot();
   Record& rec = slots_[slot];
   assert(!rec.live);
   rec.action = std::move(action);
   rec.live = true;
-  heap_.push_back(Key{at, next_seq_++, slot});
+  heap_.push_back(Key{at, scheduled_at, next_seq_++, slot});
   sift_up(heap_.size() - 1);
   ++live_count_;
   return EventId{slot, rec.gen};
@@ -108,7 +108,7 @@ EventQueue::Fired EventQueue::pop() {
   const Key top = heap_.front();
   Record& rec = slots_[top.slot];
   assert(rec.live);
-  Fired fired{top.at, std::move(rec.action)};
+  Fired fired{top.at, std::move(rec.action), top.scheduled_at};
   rec.action.reset();
   rec.live = false;
   ++rec.gen;

@@ -47,9 +47,12 @@ class EventQueue {
  public:
   using Action = sim::Action;
 
-  /// Schedules `action` to fire at absolute time `at`. Events scheduled for
-  /// the same instant fire in scheduling order (FIFO).
-  EventId schedule(TimePoint at, Action action);
+  /// Schedules `action` to fire at absolute time `at`. Events due at the same
+  /// instant fire in order of `scheduled_at`, then in scheduling order
+  /// (FIFO). The simulator passes its current time, which never decreases,
+  /// so the order is plain FIFO unless a caller names an earlier or later
+  /// instant (see Simulator::schedule_at).
+  EventId schedule(TimePoint at, Action action, TimePoint scheduled_at = TimePoint::origin());
 
   /// Cancels a pending event in O(1). Cancelling an already-fired,
   /// already-cancelled, or default-constructed id is a harmless no-op;
@@ -61,11 +64,14 @@ class EventQueue {
 
   /// Time of the next live event. Only valid when !empty().
   [[nodiscard]] TimePoint next_time() const;
+  /// The `scheduled_at` of the next live event. Only valid when !empty().
+  [[nodiscard]] TimePoint next_scheduled_at() const { return heap_.front().scheduled_at; }
 
   /// Pops and returns the next live event. Only valid when !empty().
   struct Fired {
     TimePoint at;
     Action action;
+    TimePoint scheduled_at;
   };
   Fired pop();
 
@@ -84,12 +90,14 @@ class EventQueue {
   };
   struct Key {
     TimePoint at;
-    std::uint64_t seq;   // FIFO tie-break at equal timestamps
-    std::uint32_t slot;  // index into slots_
+    TimePoint scheduled_at;  // tie-break at equal timestamps, then seq
+    std::uint64_t seq;       // FIFO
+    std::uint32_t slot;      // index into slots_
   };
 
   static bool earlier(const Key& a, const Key& b) {
     if (a.at != b.at) return a.at < b.at;
+    if (a.scheduled_at != b.scheduled_at) return a.scheduled_at < b.scheduled_at;
     return a.seq < b.seq;
   }
 

@@ -26,7 +26,8 @@ std::string TimePoint::str() const {
   return buf;
 }
 
-std::optional<Duration> parse_duration(std::string_view text) {
+std::optional<Duration> parse_duration(std::string_view text, DurationError* why) {
+  if (why != nullptr) *why = DurationError::kMalformed;
   while (!text.empty() && std::isspace(static_cast<unsigned char>(text.front()))) {
     text.remove_prefix(1);
   }
@@ -49,12 +50,26 @@ std::optional<Duration> parse_duration(std::string_view text) {
   }
   if (negative) num = -num;
   const std::string_view unit = text.substr(unit_pos);
-  if (unit == "us") return Duration::ns(static_cast<std::int64_t>(num * 1e3));
-  if (unit == "ms") return Duration::ms_f(num);
-  if (unit == "s") return Duration::sec_f(num);
-  if (unit == "m" || unit == "min") return Duration::sec_f(num * 60.0);
-  if (unit == "h") return Duration::sec_f(num * 3600.0);
-  return std::nullopt;
+  double ns{};
+  if (unit == "us") {
+    ns = num * 1e3;
+  } else if (unit == "ms") {
+    ns = num * 1e6;
+  } else if (unit == "s") {
+    ns = num * 1e9;
+  } else if (unit == "m" || unit == "min") {
+    ns = num * 60.0 * 1e9;
+  } else if (unit == "h") {
+    ns = num * 3600.0 * 1e9;
+  } else {
+    return std::nullopt;
+  }
+  // Converting a double outside int64 to an integer is undefined behaviour.
+  if (!(ns > -0x1p63 && ns < 0x1p63)) {
+    if (why != nullptr) *why = DurationError::kOutOfRange;
+    return std::nullopt;
+  }
+  return Duration::ns(static_cast<std::int64_t>(ns));
 }
 
 }  // namespace mgap::sim

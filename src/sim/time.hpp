@@ -103,10 +103,16 @@ class TimePoint {
   std::int64_t ns_{0};
 };
 
+/// Why parse_duration rejected a text.
+enum class DurationError { kMalformed, kOutOfRange };
+
 /// Parses durations like "150us", "75ms", "1.5s", "30m", "24h". Lives here
 /// (not in testbed) so lower layers — e.g. the fault-event spec parser — can
-/// share the experiment file syntax without an upward dependency.
-[[nodiscard]] std::optional<Duration> parse_duration(std::string_view text);
+/// share the experiment file syntax without an upward dependency. Values
+/// outside the int64 nanosecond range (about +-292 years) are rejected, with
+/// kOutOfRange in `*why` when given.
+[[nodiscard]] std::optional<Duration> parse_duration(std::string_view text,
+                                                     DurationError* why = nullptr);
 
 [[nodiscard]] constexpr Duration max(Duration a, Duration b) { return a < b ? b : a; }
 [[nodiscard]] constexpr Duration min(Duration a, Duration b) { return a < b ? a : b; }

@@ -91,6 +91,7 @@ core::LinkSummary BleConnBackend::link_summary() const {
 }
 
 void BleConnBackend::fold_counters(obs::Registry& reg) const {
+  world_->settle_all();  // claim counts of skipped connection events
   for (const auto& ctrl : world_->nodes()) {
     const ble::RadioScheduler& sched = ctrl->scheduler();
     reg.count("radio.claims_granted", ctrl->id(), static_cast<double>(sched.granted()));

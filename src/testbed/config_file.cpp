@@ -83,7 +83,11 @@ constexpr sim::Duration kForever =
 /// Parses a duration in [lo, hi]; negative or malformed values are "bad".
 sim::Duration parse_duration_in(std::string_view v, std::string_view key,
                                 sim::Duration lo, sim::Duration hi) {
-  const auto d = sim::parse_duration(v);
+  sim::DurationError why{};
+  const auto d = sim::parse_duration(v, &why);
+  if (!d && why == sim::DurationError::kOutOfRange) {
+    out_of_range(key, "exceeds the int64 nanosecond range");
+  }
   if (!d || d->is_negative()) bad(key);
   if (*d >= lo && *d <= hi) return *d;
   if (hi == kForever) out_of_range(key, "must be >= " + lo.str());

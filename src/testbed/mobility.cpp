@@ -11,6 +11,7 @@ RandomWaypointMobility::RandomWaypointMobility(sim::Simulator& sim, MobilityConf
     : sim_{sim}, config_{config}, rng_{sim.make_rng()} {}
 
 void RandomWaypointMobility::place_static(NodeId node, Vec2 pos) {
+  if (before_move_) before_move_();
   statics_[node] = pos;
 }
 
@@ -34,6 +35,7 @@ void RandomWaypointMobility::start() {
 }
 
 void RandomWaypointMobility::tick() {
+  if (before_move_) before_move_();
   const sim::TimePoint now = sim_.now();
   for (auto& [id, m] : mobiles_) {
     if (now < m.pause_until) continue;
@@ -63,11 +65,11 @@ double RandomWaypointMobility::distance_between(NodeId a, NodeId b) const {
   return distance(position(a), position(b));
 }
 
-ble::BleWorld::LinkPerFn make_link_per(const RandomWaypointMobility& mob,
-                                       RangeModel range) {
-  return [&mob, range](NodeId a, NodeId b) {
+void attach_link_per(ble::BleWorld& world, RandomWaypointMobility& mob, RangeModel range) {
+  world.set_link_per([&mob, range](NodeId a, NodeId b) {
     return range.per(mob.distance_between(a, b));
-  };
+  });
+  mob.set_before_move([&world] { world.settle_all(); });
 }
 
 }  // namespace mgap::testbed

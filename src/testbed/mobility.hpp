@@ -9,6 +9,7 @@
 // manager (core::Dynconn) then re-forms the topology — handover.
 
 #include <cmath>
+#include <functional>
 #include <map>
 
 #include "ble/world.hpp"
@@ -56,6 +57,10 @@ class RandomWaypointMobility {
   [[nodiscard]] double distance_between(NodeId a, NodeId b) const;
   [[nodiscard]] bool is_mobile(NodeId node) const { return mobiles_.count(node) > 0; }
 
+  /// Runs before any node moves: at the start of every movement tick and in
+  /// place_static.
+  void set_before_move(std::function<void()> fn) { before_move_ = std::move(fn); }
+
  private:
   struct Mobile {
     Vec2 pos;
@@ -72,6 +77,7 @@ class RandomWaypointMobility {
   sim::Rng rng_;
   std::map<NodeId, Vec2> statics_;
   std::map<NodeId, Mobile> mobiles_;
+  std::function<void()> before_move_;
   bool running_{false};
 };
 
@@ -89,8 +95,10 @@ struct RangeModel {
   }
 };
 
-/// Builds the BleWorld link-PER hook from a mobility model and a range model.
-[[nodiscard]] ble::BleWorld::LinkPerFn make_link_per(const RandomWaypointMobility& mob,
-                                                     RangeModel range);
+/// Installs the BleWorld link-PER hook of a mobility model and a range model
+/// on `world`. Every move (a movement tick or place_static) first settles
+/// the world's fast-forwarded connections, as BleWorld::set_link_per
+/// requires. `world` must outlive `mob`'s moves.
+void attach_link_per(ble::BleWorld& world, RandomWaypointMobility& mob, RangeModel range);
 
 }  // namespace mgap::testbed

@@ -23,8 +23,7 @@ SelfFormingNetwork::SelfFormingNetwork(SelfFormingConfig config)
     world_->set_default_channel_map(map);
   }
   if (geo_) {
-    world_->set_link_per(
-        topo::make_geometric_link_per(geo_->placement, config_.topo));
+    world_->set_link_per(topo::make_geometric_link_per(geo_->placement, config_.topo));
     // Discovery listens at the full radio range (geo_->neighbors only spans
     // the planning range): dynconn may adopt any physically hearable peer.
     world_->set_neighbor_table(

@@ -3,7 +3,10 @@
 // observable output that differs — each summary field and the full
 // observability counter map, in both directions.
 //
-// Two runs of the same config must be *bit-identical*, or must both fail
+// The two runs may use different run modes: as configured (idle BLE
+// connections fast-forward) or event by event (a recorder collecting
+// link-layer events keeps every connection event a real one). Either way
+// they must be *bit-identical*, or must both fail
 // with the identical error (random topo specs can fail construction
 // deterministically, e.g. disconnected worlds). run_differential() reports
 // the divergence as text, so the same fixture serves GTest
@@ -17,9 +20,27 @@
 #include <map>
 #include <string>
 
+#include "obs/recorder.hpp"
+#include "sim/trace.hpp"
 #include "testbed/experiment.hpp"
 
 namespace mgap::testhelpers {
+
+/// How one run of the differential drives its experiment.
+enum class RunMode {
+  kAsConfigured,
+  /// Attaches a recorder collecting link-layer events, which keeps every
+  /// connection event a real heap event (no fast-forward). The recorder's
+  /// own event count ("trace.events") is left out of the comparison.
+  kEventByEvent,
+};
+
+/// Makes `recorder` want link-layer events: collected in memory, all other
+/// categories off.
+inline void record_link_layer(obs::Recorder& recorder) {
+  recorder.collect(true);
+  recorder.set_categories(sim::trace_cat_bit(sim::TraceCat::kLinkLayer));
+}
 
 struct OracleResult {
   bool ok{true};
@@ -49,8 +70,12 @@ void cmp(std::string& out, const char* name, const T& a, const T& b) {
   diverge(out, std::string{name} + ": first=" + num(a) + " second=" + num(b));
 }
 
-inline void cmp_counters(std::string& out, const std::map<std::string, double>& a,
-                         const std::map<std::string, double>& b) {
+inline void cmp_counters(std::string& out, std::map<std::string, double> a,
+                         std::map<std::string, double> b, bool skip_trace_count) {
+  if (skip_trace_count) {
+    a.erase("trace.events");
+    b.erase("trace.events");
+  }
   for (const auto& [k, v] : a) {
     auto it = b.find(k);
     if (it == b.end()) {
@@ -68,7 +93,8 @@ inline void cmp_counters(std::string& out, const std::map<std::string, double>& 
 
 /// Compares every observable field of the two summaries.
 inline void cmp_summaries(std::string& out, const testbed::ExperimentSummary& a,
-                          const testbed::ExperimentSummary& b) {
+                          const testbed::ExperimentSummary& b,
+                          bool skip_trace_count = false) {
 #define MGAP_ORACLE_FIELD(f) cmp(out, #f, a.f, b.f)
   MGAP_ORACLE_FIELD(topo_generator);
   MGAP_ORACLE_FIELD(topo_seed);
@@ -102,14 +128,16 @@ inline void cmp_summaries(std::string& out, const testbed::ExperimentSummary& a,
   MGAP_ORACLE_FIELD(pdr_during_fault);
   MGAP_ORACLE_FIELD(pdr_post_fault);
 #undef MGAP_ORACLE_FIELD
-  cmp_counters(out, a.counters, b.counters);
+  cmp_counters(out, a.counters, b.counters, skip_trace_count);
 }
+
 
 /// One full run; the error text lands in `error` instead of propagating.
 inline testbed::ExperimentSummary run_one(const testbed::ExperimentConfig& cfg,
-                                          std::string& error) {
+                                          RunMode mode, std::string& error) {
   try {
     testbed::Experiment e{cfg};
+    if (mode == RunMode::kEventByEvent) record_link_layer(e.recorder());
     e.run();
     return e.summary();
   } catch (const std::exception& ex) {
@@ -120,20 +148,22 @@ inline testbed::ExperimentSummary run_one(const testbed::ExperimentConfig& cfg,
 
 }  // namespace detail
 
-/// Runs `cfg` twice and compares every observable output. Never asserts
-/// itself — callers decide (EXPECT_TRUE(r.ok) << r.divergence, or
+/// Runs `cfg` once per mode and compares every observable output. Never
+/// asserts itself — callers decide (EXPECT_TRUE(r.ok) << r.divergence, or
 /// PROP_ASSERT(r.ok, r.divergence)).
-inline OracleResult run_differential(const testbed::ExperimentConfig& cfg) {
+inline OracleResult run_differential(const testbed::ExperimentConfig& cfg,
+                                     RunMode first_mode = RunMode::kAsConfigured,
+                                     RunMode second_mode = RunMode::kAsConfigured) {
   OracleResult r;
   std::string first_error;
   std::string second_error;
-  const testbed::ExperimentSummary first = detail::run_one(cfg, first_error);
-  const testbed::ExperimentSummary second = detail::run_one(cfg, second_error);
+  const testbed::ExperimentSummary first = detail::run_one(cfg, first_mode, first_error);
+  const testbed::ExperimentSummary second = detail::run_one(cfg, second_mode, second_error);
   if (first_error != second_error) {
     detail::diverge(r.divergence,
                     "error: first=\"" + first_error + "\" second=\"" + second_error + '"');
   } else if (first_error.empty()) {
-    detail::cmp_summaries(r.divergence, first, second);
+    detail::cmp_summaries(r.divergence, first, second, first_mode != second_mode);
   }
   r.ok = r.divergence.empty();
   return r;

@@ -125,6 +125,8 @@ TEST(ConfigFile, RejectsUnknownKeyAndBadValues) {
   expect_config_error("topo.nodes = 50.7", "config: bad topo.nodes");
   expect_config_error("topo.max_degree = 2.5", "config: bad topo.max_degree");
   expect_config_error("conn_interval = 50:10ms", "config: bad conn_interval window");
+  expect_config_error("duration = 9999999999h",
+                      "config: duration exceeds the int64 nanosecond range");
 }
 
 TEST(ConfigFile, DefaultsMatchExperimentDefaults) {
@@ -338,7 +340,12 @@ const std::map<std::string_view, std::vector<std::string_view>>& samples() {
       {"arena", {"false"}},
       {"compression", {"uncompressed", "iphc"}},
       {"metrics_bucket", {"1s", "600s"}},
-      {"fault.", {"crash node=3 at=10s", "blackout link=1-2 at=5s for=30s"}},
+      {"fault.",
+       {"crash node=3 at=10s", "blackout link=1-2 at=5s for=30s",
+        "attenuate link=1-2 at=5s for=30s per=0.123456789",
+        "interfere channels=10-14 at=5s for=1s per=0.3 node=3 radius=7.123456789",
+        "clock_drift node=3 at=10s ppm=12.345678901 for=5s",
+        "pressure node=3 at=10s for=5s bytes=512 radius=2.5"}},
       {"chaos_rate", {"0.5", "2"}},
       {"chaos_kinds", {"crash", "crash+blackout"}},
       {"reconnect_backoff_base", {"10ms", "1s"}},

@@ -80,7 +80,7 @@ TEST(Mobility, OutOfRangeBreaksConnection) {
   RandomWaypointMobility mob{sim};
   mob.place_static(1, Vec2{0.0, 0.0});
   mob.place_static(2, Vec2{5.0, 0.0});  // in range initially
-  world.set_link_per(make_link_per(mob, RangeModel{8.0, 15.0}));
+  attach_link_per(world, mob, RangeModel{8.0, 15.0});
 
   ble::Controller& a = world.add_node(1, 1.0);
   ble::Controller& b = world.add_node(2, -1.0);
@@ -104,7 +104,7 @@ TEST(Mobility, GapRespectsRange) {
   RandomWaypointMobility mob{sim};
   mob.place_static(1, Vec2{0.0, 0.0});
   mob.place_static(2, Vec2{100.0, 0.0});  // far out of range
-  world.set_link_per(make_link_per(mob, RangeModel{8.0, 15.0}));
+  attach_link_per(world, mob, RangeModel{8.0, 15.0});
 
   ble::Controller& adv = world.add_node(1, 0.0);
   ble::Controller& ini = world.add_node(2, 0.0);
@@ -128,7 +128,7 @@ TEST(Mobility, HandoverBetweenAccessNodes) {
   mob.place_static(1, Vec2{0.0, 0.0});
   mob.place_static(2, Vec2{30.0, 0.0});
   mob.place_static(3, Vec2{2.0, 0.0});
-  world.set_link_per(make_link_per(mob, RangeModel{8.0, 15.0}));
+  attach_link_per(world, mob, RangeModel{8.0, 15.0});
 
   ble::Controller& a = world.add_node(1, 1.0);
   ble::Controller& b = world.add_node(2, -1.0);

@@ -348,6 +348,37 @@ TEST(Simulator, ScheduleInPastClampsToNow) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(Simulator, SameInstantOrdersByScheduledAtThenFifo) {
+  Simulator sim{1};
+  const TimePoint t = TimePoint::origin() + Duration::ms(10);
+  const TimePoint early = TimePoint::origin() + Duration::ms(2);
+  std::vector<int> order;
+  std::vector<bool> tied;
+  const auto note = [&](int id) {
+    EXPECT_TRUE(sim.dispatching());
+    order.push_back(id);
+    tied.push_back(sim.running_tied());
+  };
+  sim.schedule_at(t, [&] { note(0); });          // scheduled at 0 ms
+  sim.schedule_at(t, early, [&] { note(1); });   // as if at 2 ms
+  sim.schedule_at(t, [&] { note(2); });          // scheduled at 0 ms
+  sim.schedule_at(t, early, [&] { note(3); });   // as if at 2 ms
+  sim.schedule_at(t, t, [&] { note(4); });       // as if at 10 ms: alone
+  int paused = 0;
+  sim.add_pause_hook(&paused, [&] {
+    EXPECT_FALSE(sim.dispatching());
+    ++paused;
+  });
+  sim.run_until(t);
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 1, 3, 4}));
+  EXPECT_EQ(tied, (std::vector<bool>{true, true, true, true, false}));
+  EXPECT_EQ(sim.running_scheduled_at(), t);
+  EXPECT_EQ(paused, 1);
+  sim.remove_pause_hook(&paused);
+  sim.run_until(t + Duration::ms(1));
+  EXPECT_EQ(paused, 1);
+}
+
 TEST(SleepClock, DriftRoundTrip) {
   const SleepClock clk{5.0};  // +5 ppm fast
   const Duration local = Duration::sec(3600);
