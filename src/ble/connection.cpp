@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "ble/controller.hpp"
@@ -12,6 +13,25 @@
 #include "sim/simulator.hpp"
 
 namespace mgap::ble {
+
+namespace {
+constexpr sim::TimePoint kEarliest =
+    sim::TimePoint::from_ns(std::numeric_limits<std::int64_t>::min());
+}  // namespace
+
+const char* to_string(RunEnd why) {
+  switch (why) {
+    case RunEnd::kBudget: return "budget";
+    case RunEnd::kCap: return "cap";
+    case RunEnd::kPending: return "pending";
+    case RunEnd::kClaim: return "claim";
+    case RunEnd::kCollision: return "collision";
+    case RunEnd::kCut: return "cut";
+    case RunEnd::kInvalidated: return "invalidated";
+    case RunEnd::kSettled: return "settled";
+  }
+  return "?";
+}
 
 Connection::Connection(sim::Simulator& sim, BleWorld& world, ConnId id, Controller& coord,
                        Controller& sub, const ConnParams& params,
@@ -188,7 +208,10 @@ void Connection::on_conn_event(sim::TimePoint anchor, bool train_armed) {
   // events ran, and one of those never ran.
   if (train_armed && sim_.running_tied()) world_.note_train_tie();
   // A horizon event: the skipped events before it run first.
-  if (fast_forwarding()) end_train(train_.windows - 1);
+  if (fast_forwarding()) {
+    world_.note_run_end(run_end_);
+    end_train(train_.windows - 1);
+  }
   assert(hot_.anchor == anchor);
   hot_.quiet_events = coord_q_.empty() && sub_q_.empty()
                           ? static_cast<std::uint8_t>(std::min(hot_.quiet_events + 1, 255))
@@ -298,8 +321,9 @@ std::uint32_t Connection::idle_run_windows() {
       sim::min(hot_.last_valid_rx_coord, hot_.last_valid_rx_sub) +
       params_.supervision_timeout - a0;
   if (budget.is_negative()) return 0;
-  auto w = static_cast<std::uint32_t>(
-      std::min<std::int64_t>(budget / step + 2, kMaxTrainWindows));
+  const std::int64_t budget_windows = budget / step + 2;
+  auto w = static_cast<std::uint32_t>(std::min<std::int64_t>(budget_windows, kMaxTrainWindows));
+  RunEnd why = budget_windows > kMaxTrainWindows ? RunEnd::kCap : RunEnd::kBudget;
   // The event that reaches a pending update instant or an AFH evaluation
   // (by its incremented counter) runs for real.
   if (pending_params_ || pending_chmap_ || config_.adaptive_channel_map) {
@@ -309,6 +333,7 @@ std::uint32_t Connection::idle_run_windows() {
           (pending_chmap_ && c == apply_chmap_at_) ||
           (config_.adaptive_channel_map && c % config_.afh_eval_events == 0)) {
         w = k + 1;
+        why = RunEnd::kPending;
         break;
       }
     }
@@ -330,43 +355,160 @@ std::uint32_t Connection::idle_run_windows() {
   if (t.slot + sim::max(t.ww_first, t.ww_max) * 2 >= step) return 0;
 
   // Window i (>= 1) is claimed by the event at a_{i-1}: the first that may
-  // overlap a claim already in either table, or another train's window, is
-  // claimed by a real event. The other train needs no cut: if it claims its
-  // window first, that claim is granted event by event too (ours is not
-  // made yet) and ours is denied; if ours comes first, try_claim cuts it.
+  // overlap a claim already in either table is claimed by a real event.
+  Contest fallback = Contest::kOrder;
+  const auto end_at = [&](std::uint32_t windows, RunEnd reason) {
+    if (windows >= t.windows) return false;
+    t.windows = windows;
+    why = reason;
+    return true;
+  };
   for (const bool widened : {false, true}) {
     RadioScheduler& sched = widened ? sub_.scheduler() : coord_.scheduler();
     sched.for_each_claim([&](sim::TimePoint start, sim::TimePoint end, std::uint64_t owner) {
       if (owner == id_) return;
-      t.windows = std::min(t.windows,
-                           RadioScheduler::first_overlap(t, widened, 1, start, end));
+      end_at(RadioScheduler::first_overlap(t, widened, 1, start, end), RunEnd::kClaim);
     });
+  }
+  // Another train's window: a certain two-party collision is decided here
+  // (RadioScheduler::contest) and the loser's window recorded as denied; the
+  // first other one is claimed by a real event. The other train needs no cut
+  // for that: if it claims its window first, that claim is granted event by
+  // event too (ours is not made yet) and ours is denied; if ours comes
+  // first, try_claim cuts it.
+  struct Decided {
+    std::uint32_t i;
+    std::uint32_t j;
+    bool widened;
+    bool other_widened;
+    bool ours;
+    Connection* other;
+  };
+  thread_local std::vector<Decided> decided;
+  decided.clear();
+  for (const bool widened : {false, true}) {
+    RadioScheduler& sched = widened ? sub_.scheduler() : coord_.scheduler();
     sched.for_each_train([&](const ClaimTrain& other, bool other_widened) {
-      t.windows = RadioScheduler::first_collision(t, widened, 1, other, other_widened,
-                                                  other.conn->train_held());
+      std::uint32_t from_a = 1;
+      std::uint32_t from_b = other.conn->train_held();
+      while (true) {
+        const TrainCollision c = RadioScheduler::first_collision(t, widened, from_a, other,
+                                                                 other_widened, from_b);
+        if (c.a >= t.windows) return;
+        const Contest verdict = sched.contest(t, widened, c.a, other, other_widened, c.b);
+        if (verdict != Contest::kAWins && verdict != Contest::kBWins) {
+          if (end_at(c.a, RunEnd::kCollision)) fallback = verdict;
+          return;
+        }
+        decided.push_back(
+            {c.a, c.b, widened, other_widened, verdict == Contest::kAWins, other.conn});
+        from_a = c.a + 1;
+        from_b = c.b + 1;
+      }
     });
   }
   if (t.windows < 2) return 0;
   train_ = t;
+  run_end_ = why;
+  if (why == RunEnd::kCollision) world_.note_collision(fallback);
+  for (const Decided& d : decided) {
+    if (d.i >= train_.windows) continue;
+    world_.note_collision(d.ours ? Contest::kAWins : Contest::kBWins);
+    if (d.ours) {
+      d.other->add_denial({d.j, d.other_widened, this, train_anchor(d.i)});
+    } else {
+      add_denial({d.i, d.widened, d.other, d.other->train_anchor(d.j)});
+    }
+  }
   return train_.windows;
 }
 
 void Connection::run_skipped(std::uint32_t n) {
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const bool open =
-        run_event(train_.first + train_.step * static_cast<std::int64_t>(i), true);
+  // Window i's grants decide event i (the shared step does the missed-event
+  // accounting); event i claimed window i + 1, granted on both nodes unless
+  // recorded as denied.
+  std::uint64_t denied[2] = {0, 0};  // coordinator's node, subordinate's node
+  auto next = denials_.begin();
+  for (std::uint32_t i = 0;; ++i) {
+    bool granted[2] = {true, true};
+    for (; next != denials_.end() && next->window == i; ++next) {
+      granted[next->widened ? 1 : 0] = false;
+      if (i > 0) ++denied[next->widened ? 1 : 0];
+    }
+    hot_.coord_granted = granted[0];
+    hot_.sub_granted = granted[1];
+    if (i == n) break;
+    const bool open = run_event(train_anchor(i), true);
     assert(open);
     (void)open;
   }
-  // Each skipped event claimed the next window on both nodes.
-  coord_.scheduler().count_train_grants(n);
-  sub_.scheduler().count_train_grants(n);
+  coord_.scheduler().count_train_claims(n - denied[0], denied[0]);
+  sub_.scheduler().count_train_claims(n - denied[1], denied[1]);
+}
+
+bool Connection::find_denial(std::uint32_t window, bool widened) const {
+  return std::any_of(denials_.begin(), denials_.end(), [&](const TrainDenial& d) {
+    return d.window == window && d.widened == widened;
+  });
+}
+
+void Connection::add_denial(const TrainDenial& d) {
+  assert(d.window > 0 && d.window < train_.windows);
+  const auto pos = std::upper_bound(
+      denials_.begin(), denials_.end(), d.window,
+      [](std::uint32_t w, const TrainDenial& x) { return w < x.window; });
+  denials_.insert(pos, d);
+  ++d.winner->wins_;
+  d.winner->wins_claimed_by_ = sim::max(d.winner->wins_claimed_by_, train_anchor(d.window - 1));
+}
+
+void Connection::drop_denials_from(std::uint32_t window) {
+  while (!denials_.empty() && denials_.back().window >= window) {
+    if (denials_.back().winner != nullptr) --denials_.back().winner->wins_;
+    denials_.pop_back();
+  }
+}
+
+bool Connection::wins_pending() const {
+  return wins_ > 0 && sim_.now() <= wins_claimed_by_;
+}
+
+void Connection::release_wins(sim::TimePoint from) {
+  while (wins_ > 0) {
+    Connection* loser = nullptr;
+    TrainDenial* denial = nullptr;
+    for (Controller* node : {&coord_, &sub_}) {
+      node->scheduler().for_each_train([&](const ClaimTrain& t, bool) {
+        for (TrainDenial& d : t.conn->denials_) {
+          if (denial == nullptr && d.winner == this && d.winner_anchor >= from) {
+            loser = t.conn;
+            denial = &d;
+          }
+        }
+      });
+    }
+    if (denial == nullptr) return;
+    if (loser->train_held() < denial->window) {
+      loser->cut_train(denial->window, RunEnd::kInvalidated);  // drops the denial
+    } else {
+      denial->winner = nullptr;  // the loser's claim is made: it stays denied
+      --wins_;
+    }
+  }
 }
 
 void Connection::catch_up() {
   const std::uint32_t held = train_held();
   if (held == 0) return;
   run_skipped(held);
+  if (!denials_.empty()) {
+    auto kept = denials_.begin();
+    for (; kept != denials_.end() && kept->window < held; ++kept) {
+      if (kept->winner != nullptr) --kept->winner->wins_;
+    }
+    denials_.erase(denials_.begin(), kept);
+    for (TrainDenial& d : denials_) d.window -= held;
+  }
   train_.first = hot_.anchor;
   train_.windows -= held;
   train_.ww_first = window_widening(hot_.anchor);
@@ -374,10 +516,12 @@ void Connection::catch_up() {
 
 void Connection::end_train(std::uint32_t n) {
   run_skipped(n);
+  drop_denials_from(0);
   coord_.scheduler().drop_train(&train_);
   sub_.scheduler().drop_train(&train_);
   world_.train_ended(*this);
   train_.windows = 0;
+  if (wins_pending()) release_wins(kEarliest);
 }
 
 std::uint32_t Connection::train_held() const {
@@ -385,8 +529,11 @@ std::uint32_t Connection::train_held() const {
   const std::int64_t step = train_.step.count_ns();
   if (since < 0) return 0;
   if (!sim_.dispatching()) return static_cast<std::uint32_t>(since / step + 1);
-  std::int64_t passed = (since + step - 1) / step;
-  if (since % step == 0) {
+  // One division: passed = ceil(since / step).
+  std::int64_t passed = since / step;
+  if (since % step != 0) {
+    ++passed;
+  } else {
     // An anchor equals now. Event by event its event was scheduled by the
     // one before it, and the heap fires same-instant events in scheduling
     // order: it has passed when it was scheduled before the running event.
@@ -400,29 +547,33 @@ std::uint32_t Connection::train_held() const {
 
 void Connection::settle() {
   if (!fast_forwarding()) return;
+  world_.note_run_end(RunEnd::kSettled);
   end_train(train_held());
-  // The held window becomes an ordinary claim (its grant is counted) and its
-  // event a real heap entry.
+  // The held window becomes an ordinary claim where it is granted (its
+  // grant is counted) and its event a real heap entry.
   sim_.cancel(hot_.next_event);
   const sim::TimePoint a = hot_.anchor;
   const sim::Duration ww = window_widening(a);
-  coord_.scheduler().insert_claim(a, a + config_.reserve_slot, id_);
-  sub_.scheduler().insert_claim(a - ww, a + config_.reserve_slot + ww, id_);
+  if (hot_.coord_granted) coord_.scheduler().insert_claim(a, a + config_.reserve_slot, id_);
+  if (hot_.sub_granted) {
+    sub_.scheduler().insert_claim(a - ww, a + config_.reserve_slot + ww, id_);
+  }
   schedule_event(a, true);
 }
 
-void Connection::cut_train(std::uint32_t windows) {
+void Connection::cut_train(std::uint32_t windows, RunEnd why) {
   if (windows >= train_.windows) return;
   assert(windows > train_held());
   train_.windows = windows;
+  run_end_ = why;
+  drop_denials_from(windows);
   sim_.cancel(hot_.next_event);
   schedule_horizon();
+  if (wins_pending()) release_wins(train_anchor(windows));
 }
 
 void Connection::schedule_horizon() {
-  const sim::TimePoint a =
-      train_.first + train_.step * static_cast<std::int64_t>(train_.windows - 1);
-  schedule_event(a, true);
+  schedule_event(train_anchor(train_.windows - 1), true);
 }
 
 bool Connection::run_exchange(sim::TimePoint anchor, std::uint8_t channel,

@@ -20,13 +20,18 @@
 // keeps one heap entry at the end of the idle run (the horizon) instead of
 // one per event, and its claims form a ClaimTrain in both radio schedulers.
 // settle() runs the skipped events through the same per-event step
-// (run_event) in a tight loop, with the same draws in the same order.
-// DESIGN.md ("Fast-forward of idle BLE connections") has the horizon rules
-// and the settle points.
+// (run_event) in a tight loop, with the same draws in the same order. A
+// collision with another train's window that the arithmetic can decide
+// stays inside the run: the loser's window is recorded as denied
+// (TrainDenial) and replayed as a missed event. DESIGN.md ("Fast-forward of
+// idle BLE connections") has the horizon rules, the collision rule and the
+// settle points.
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <vector>
 
 #include "ble/channel_selection.hpp"
 #include "ble/l2cap.hpp"
@@ -69,6 +74,46 @@ struct ConnHot {
   // Head-of-queue PDU already failed at least once (kPduRetrans flagging).
   bool coord_retry{false};
   bool sub_retry{false};
+};
+
+/// A train window whose claim on one node is decided to lose to another
+/// train's window (RadioScheduler::contest): the event that claims it is
+/// replayed as denied on that node.
+struct TrainDenial {
+  std::uint32_t window;
+  bool widened;  // on the subordinate's node, else the coordinator's
+  /// The train that wins, while the denial can still be undone: if it leaves
+  /// its window before this claim is made, the claim runs for real. Null
+  /// (or left stale) once the claim is made.
+  Connection* winner;
+  sim::TimePoint winner_anchor;  // anchor of the winning window
+};
+
+/// Why an idle run ended. Diagnostics only: results never depend on it.
+enum class RunEnd : std::uint8_t {
+  kBudget,       // horizon at the supervision budget
+  kCap,          // horizon at the window cap
+  kPending,      // horizon at a parameter or channel-map instant, or an AFH evaluation
+  kClaim,        // horizon at a claim already in a table
+  kCollision,    // horizon at another train's window, left to a real event
+  kCut,          // cut short by a granted claim
+  kInvalidated,  // cut because the train that won a recorded collision left it
+  kSettled,      // settled before its horizon
+};
+inline constexpr std::size_t kRunEndKinds = 8;
+[[nodiscard]] const char* to_string(RunEnd why);
+
+/// Fast-forward counters of one BleWorld.
+struct IdleRunStats {
+  std::array<std::uint64_t, kRunEndKinds> ended{};  // indexed by RunEnd
+  std::uint64_t resolved{0};  // train-vs-train collisions recorded inside a train
+  // Train-vs-train collisions that set a run's horizon, by why.
+  std::uint64_t three_party{0};
+  std::uint64_t widening{0};
+  std::uint64_t order{0};
+  [[nodiscard]] std::uint64_t ended_by(RunEnd why) const {
+    return ended[static_cast<std::size_t>(why)];
+  }
 };
 
 /// Tunables of the connection-event engine (NimBLE-flavoured defaults).
@@ -173,7 +218,18 @@ class Connection {
   void catch_up();
   /// Shortens the train to `windows` windows, so the event that would claim
   /// window `windows` runs for real (it must be after the held window).
-  void cut_train(std::uint32_t windows);
+  void cut_train(std::uint32_t windows, RunEnd why = RunEnd::kCut);
+  /// True when the claim of train window `window` on the subordinate's
+  /// (`widened`) or the coordinator's node is recorded as denied.
+  [[nodiscard]] bool train_denied(std::uint32_t window, bool widened) const {
+    return !denials_.empty() && find_denial(window, widened);
+  }
+  /// The recorded denials, by window.
+  [[nodiscard]] const std::vector<TrainDenial>& train_denials() const { return denials_; }
+  /// Anchor of train window `window`.
+  [[nodiscard]] sim::TimePoint train_anchor(std::uint32_t window) const {
+    return train_.first + train_.step * static_cast<std::int64_t>(window);
+  }
 
  private:
   static constexpr unsigned kUpdateDelayEvents = 6;
@@ -218,10 +274,21 @@ class Connection {
   /// Number of windows an idle run starting at the next anchor may skip
   /// through (0 or 1: none).
   [[nodiscard]] std::uint32_t idle_run_windows();
-  /// Runs the skipped events of the first `n` train windows.
+  /// Runs the skipped events of the first `n` train windows and leaves the
+  /// grants of window n (the held one) in the hot state.
   void run_skipped(std::uint32_t n);
   /// run_skipped(n), then drops the train.
   void end_train(std::uint32_t n);
+  [[nodiscard]] bool find_denial(std::uint32_t window, bool widened) const;
+  void add_denial(const TrainDenial& d);
+  /// Drops the denials of windows `window` and later.
+  void drop_denials_from(std::uint32_t window);
+  /// Undoes the denials this train wins with windows anchored at or after
+  /// `from`, when it ends or is cut before them: a loser that has not
+  /// claimed its window yet is cut there, the others stay denied.
+  void release_wins(sim::TimePoint from);
+  /// False when every loser of a denial this train won has made its claim.
+  [[nodiscard]] bool wins_pending() const;
   void deliver_later(Role to, LlPdu pdu, sim::TimePoint at);
   void terminate(DisconnectReason reason);
   [[nodiscard]] sim::Duration window_widening(sim::TimePoint at) const;
@@ -260,6 +327,10 @@ class Connection {
 
   ClaimTrain train_;         // windows == 0: not fast-forwarding
   double train_link_per_{0.0};
+  std::vector<TrainDenial> denials_;  // of this train's windows, by window
+  std::uint32_t wins_{0};             // denials of other trains naming this one
+  sim::TimePoint wins_claimed_by_;    // the latest claim instant of those denials
+  RunEnd run_end_{RunEnd::kBudget};
 
   friend class BleWorld;
   std::uint32_t train_slot_{0};  // index in BleWorld's fast-forward list

@@ -65,9 +65,9 @@ std::uint32_t RadioScheduler::first_overlap(const ClaimTrain& train, bool widene
   return train.windows;
 }
 
-std::uint32_t RadioScheduler::first_collision(const ClaimTrain& a, bool a_widened,
-                                              std::uint32_t from_a, const ClaimTrain& b,
-                                              bool b_widened, std::uint32_t from_b) {
+TrainCollision RadioScheduler::first_collision(const ClaimTrain& a, bool a_widened,
+                                               std::uint32_t from_a, const ClaimTrain& b,
+                                               bool b_widened, std::uint32_t from_b) {
   const sim::Duration wa = a_widened ? sim::max(a.ww_first, a.ww_max) : sim::Duration{};
   const sim::Duration wb = b_widened ? sim::max(b.ww_first, b.ww_max) : sim::Duration{};
   // Windows [x - wa, x + slot_a + wa) and [y - wb, y + slot_b + wb) overlap
@@ -83,9 +83,49 @@ std::uint32_t RadioScheduler::first_collision(const ClaimTrain& a, bool a_widene
       y = y + b.step;
     }
     if (j == b.windows) break;
-    if (y - x < after) return i;
+    if (y - x < after) return {i, j};
   }
-  return a.windows;
+  return {a.windows, b.windows};
+}
+
+Contest RadioScheduler::contest(const ClaimTrain& a, bool a_widened, std::uint32_t i,
+                                const ClaimTrain& b, bool b_widened, std::uint32_t j) const {
+  if (b.conn->train_denied(j, b_widened)) return Contest::kThreeParty;
+  const sim::TimePoint x = anchor_of(a, i);
+  const sim::TimePoint y = anchor_of(b, j);
+  const Widening wa = widening_of(a, a_widened, i);
+  const Widening wb = widening_of(b, b_widened, j);
+  if (!overlaps(y, b.slot, wb.lo, x - wa.lo, x + a.slot + wa.lo)) return Contest::kWidening;
+  // Nothing else may overlap either window at its widest: no claim in the
+  // table, no window of a third train, no other window of the two. The two
+  // windows overlap, so together they cover one span.
+  const sim::TimePoint a_start = x - wa.hi;
+  const sim::TimePoint a_end = x + a.slot + wa.hi;
+  const sim::TimePoint b_start = y - wb.hi;
+  const sim::TimePoint b_end = y + b.slot + wb.hi;
+  const sim::TimePoint span_start = sim::min(a_start, b_start);
+  const sim::TimePoint span_end = sim::max(a_end, b_end);
+  if (table_overlaps(span_start, span_end, a.owner)) return Contest::kThreeParty;
+  const std::uint32_t b_held = b.conn->train_held();
+  if (first_overlap(a, a_widened, 0, b_start, b_end) != i ||
+      first_overlap(a, a_widened, i + 1, b_start, b_end) != a.windows ||
+      first_overlap(b, b_widened, b_held, a_start, a_end) != j ||
+      first_overlap(b, b_widened, j + 1, a_start, a_end) != b.windows) {
+    return Contest::kThreeParty;
+  }
+  for (const TrainRef& t : trains_) {
+    const ClaimTrain& c = *t.train;
+    if (&c == &b) continue;
+    if (first_overlap(c, t.widened, c.conn->train_held(), span_start, span_end) != c.windows) {
+      return Contest::kThreeParty;
+    }
+  }
+  // Window i is claimed at x - step_a and held until x; likewise for j.
+  const sim::TimePoint claim_a = x - a.step;
+  const sim::TimePoint claim_b = y - b.step;
+  if (claim_a < claim_b && claim_b < x) return Contest::kAWins;
+  if (claim_b < claim_a && claim_a < y) return Contest::kBWins;
+  return Contest::kOrder;
 }
 
 bool RadioScheduler::table_overlaps(sim::TimePoint start, sim::TimePoint end,
@@ -103,6 +143,8 @@ bool RadioScheduler::trains_overlap(sim::TimePoint start, sim::TimePoint end,
     std::uint32_t held = train.conn->train_held();
     Widening ww = widening_of(train, t.widened, held);
     if (!overlaps(anchor_of(train, held), train.slot, ww.hi, start, end)) continue;
+    // A window recorded as denied holds nothing on this node.
+    if (train.conn->train_denied(held, t.widened)) continue;
     if (ww.lo != ww.hi &&
         !overlaps(anchor_of(train, held), train.slot, ww.lo, start, end)) {
       train.conn->catch_up();  // the held window becomes window 0, exact
@@ -127,12 +169,17 @@ bool RadioScheduler::try_claim(sim::TimePoint start, sim::TimePoint end, std::ui
     return false;
   }
   // Granted: a train whose later window overlaps would be denied when its
-  // connection claims that window, so that event must run for real.
+  // connection claims that window, so that event must run for real. A
+  // window recorded as denied here is denied either way: by the winning
+  // window while its record binds, else by this claim when it runs for real.
   for (const TrainRef& t : trains_) {
-    if (first_overlap(*t.train, t.widened, 0, start, end) == t.train->windows) continue;
-    const std::uint32_t held = t.train->conn->train_held();
-    const std::uint32_t i = first_overlap(*t.train, t.widened, held + 1, start, end);
-    if (i < t.train->windows) t.train->conn->cut_train(i);
+    const ClaimTrain& train = *t.train;
+    if (first_overlap(train, t.widened, 0, start, end) == train.windows) continue;
+    std::uint32_t i = first_overlap(train, t.widened, train.conn->train_held() + 1, start, end);
+    while (i < train.windows && train.conn->train_denied(i, t.widened)) {
+      i = first_overlap(train, t.widened, i + 1, start, end);
+    }
+    if (i < train.windows) train.conn->cut_train(i);
   }
   insert_claim(start, end, owner);
   ++granted_;
@@ -167,6 +214,7 @@ bool RadioScheduler::holds(std::uint64_t owner, sim::TimePoint at) {
   for (const TrainRef& t : trains_) {
     if (t.train->owner != owner) continue;
     t.train->conn->catch_up();
+    if (t.train->conn->train_denied(0, t.widened)) continue;
     const sim::Duration ww = widening_of(*t.train, t.widened, 0).hi;
     if (overlaps(t.train->first, t.train->slot, ww, at, at + sim::Duration::ns(1))) return true;
   }
@@ -190,7 +238,8 @@ sim::TimePoint RadioScheduler::next_start_after(sim::TimePoint t,
     std::uint32_t held = train.conn->train_held();
     Widening ww = widening_of(train, r.widened, held);
     // The held window starts between a - ww.hi and a - ww.lo.
-    if (anchor_of(train, held) - ww.lo <= t || anchor_of(train, held) - ww.hi >= best) {
+    if (anchor_of(train, held) - ww.lo <= t || anchor_of(train, held) - ww.hi >= best ||
+        train.conn->train_denied(held, r.widened)) {
       continue;
     }
     if (ww.lo != ww.hi) {

@@ -44,6 +44,26 @@ struct ClaimTrain {
   sim::Duration ww_max;
 };
 
+/// A window of one train that may overlap a window of another: indices into
+/// each train, `a == a.windows` when there is none.
+struct TrainCollision {
+  std::uint32_t a;
+  std::uint32_t b;
+};
+
+/// How a collision between window i of a new train `a` and window j of a
+/// train `b` on one node resolves event by event, when the arithmetic can
+/// tell: the earlier claimer wins if it still holds its window when the
+/// other claims (a window is held from its claim instant, one step before
+/// its anchor, until its anchor). Anything else is left to a real event.
+enum class Contest : std::uint8_t {
+  kAWins,
+  kBWins,
+  kThreeParty,  // another claim or train window (or a recorded denial) is involved
+  kWidening,    // the overlap depends on widening not drawn yet
+  kOrder,       // tied claim instants, or the first claimer releases first
+};
+
 class RadioScheduler {
  public:
   /// Attaches the typed event recorder: every claim outcome is emitted as an
@@ -57,10 +77,10 @@ class RadioScheduler {
   /// Attempts to reserve [start, end) for `owner`. Returns false (and leaves
   /// the table unchanged) when the span overlaps any existing claim. Against
   /// a claim train: the held window counts like a claim (when the draws not
-  /// made yet decide the overlap, the train's connection catches up first);
-  /// a span that overlaps only a later window is granted and cuts the train
-  /// short, so the event that would claim that window runs for real and is
-  /// denied.
+  /// made yet decide the overlap, the train's connection catches up first),
+  /// unless it is recorded as denied on this node; a span that overlaps only
+  /// a later window is granted and cuts the train short, so the event that
+  /// would claim that window runs for real and is denied.
   bool try_claim(sim::TimePoint start, sim::TimePoint end, std::uint64_t owner);
 
   /// Releases all claims held by `owner` (not its claim train).
@@ -91,8 +111,11 @@ class RadioScheduler {
   /// Inserts a claim without the overlap check or a grant count: the held
   /// window of a settling train, whose grant the skipped event counted.
   void insert_claim(sim::TimePoint start, sim::TimePoint end, std::uint64_t owner);
-  /// Counts the grants of `n` claims made by skipped connection events.
-  void count_train_grants(std::uint64_t n) { granted_ += n; }
+  /// Counts the claims made by skipped connection events.
+  void count_train_claims(std::uint64_t granted, std::uint64_t denied) {
+    granted_ += granted;
+    denied_ += denied;
+  }
 
   /// First window of `train` at or after `from` that may overlap
   /// [start, end), or `train.windows` when none.
@@ -100,10 +123,14 @@ class RadioScheduler {
                                                    std::uint32_t from, sim::TimePoint start,
                                                    sim::TimePoint end);
   /// First window of `a` at or after `from_a` that may overlap a window of
-  /// `b` at or after `from_b`, or `a.windows` when none.
-  [[nodiscard]] static std::uint32_t first_collision(const ClaimTrain& a, bool a_widened,
-                                                     std::uint32_t from_a, const ClaimTrain& b,
-                                                     bool b_widened, std::uint32_t from_b);
+  /// `b` at or after `from_b`, with the first such window of `b`.
+  [[nodiscard]] static TrainCollision first_collision(const ClaimTrain& a, bool a_widened,
+                                                      std::uint32_t from_a, const ClaimTrain& b,
+                                                      bool b_widened, std::uint32_t from_b);
+  /// Decides the collision of window i of `a` (a train about to start, not
+  /// registered here) with window j of `b` (registered) on this node.
+  [[nodiscard]] Contest contest(const ClaimTrain& a, bool a_widened, std::uint32_t i,
+                                const ClaimTrain& b, bool b_widened, std::uint32_t j) const;
   /// Claims in the table, for the train horizon scan.
   template <typename F>
   void for_each_claim(F&& fn) const {

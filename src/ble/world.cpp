@@ -35,6 +35,16 @@ void BleWorld::note_train_tie() {
 #endif
 }
 
+void BleWorld::note_collision(Contest verdict) {
+  switch (verdict) {
+    case Contest::kAWins:
+    case Contest::kBWins: ++idle_runs_.resolved; break;
+    case Contest::kThreeParty: ++idle_runs_.three_party; break;
+    case Contest::kWidening: ++idle_runs_.widening; break;
+    case Contest::kOrder: ++idle_runs_.order; break;
+  }
+}
+
 void BleWorld::train_started(Connection& conn) {
   conn.train_slot_ = static_cast<std::uint32_t>(trains_.size());
   trains_.push_back(&conn);

@@ -169,6 +169,10 @@ class BleWorld {
   void note_train_tie();
   void train_started(Connection& conn);
   void train_ended(Connection& conn);
+  /// Why idle runs ended, and how train-vs-train collisions were decided.
+  [[nodiscard]] const IdleRunStats& idle_runs() const { return idle_runs_; }
+  void note_run_end(RunEnd why) { ++idle_runs_.ended[static_cast<std::size_t>(why)]; }
+  void note_collision(Contest verdict);
 
  private:
   [[nodiscard]] LinkStats& stats_for(NodeId coordinator, NodeId subordinate);
@@ -177,6 +181,7 @@ class BleWorld {
   LinkPerFn link_per_;
   std::vector<Connection*> trains_;  // fast-forwarded connections
   std::uint64_t train_ties_{0};
+  IdleRunStats idle_runs_;
   sim::Simulator& sim_;
   phy::ChannelModel channel_model_;
   std::map<NodeId, phy::ChannelModel> region_models_;
